@@ -22,7 +22,6 @@
 #include "core/ranknet.hpp"
 #include "obs/trace.hpp"
 #include "simulator/season.hpp"
-#include "tensor/simd_kernels.hpp"
 #include "tensor/workspace.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -45,7 +44,6 @@ struct ThreadRow {
 };
 
 struct DecodeRow {
-  const char* variant = nullptr;  // non-null: reduced-precision axis row
   int num_samples = 0;
   std::size_t rows = 0;        // trajectories sampled per forecast
   double us_per_sample = 0.0;  // wall µs per sampled trajectory-step
@@ -175,8 +173,7 @@ void inference_thread_scaling(RankNetFixture& fix, BenchResults& results) {
 DecodeRow measure_decode_row(RankNetFixture& fix, int samples, int origin,
                              int horizon) {
   // Two warm-up forecasts: the first grows the thread-local arena to this
-  // problem size (and, for reduced variants, builds the weight packs), the
-  // second leaves only warm epochs in the window.
+  // problem size, the second leaves only warm epochs in the window.
   util::Rng warm(11);
   (void)fix.forecaster.forecast(fix.race, origin, horizon, samples, warm);
   util::Rng warm2(11);
@@ -255,52 +252,6 @@ void mc_decode_scaling(RankNetFixture& fix, BenchResults& results) {
   std::printf("(us/sample amortizes with samples/car — all of a car's "
               "samples share one batched GEMM per decode step; rows/branch "
               "is the decode tree's prefix sharing, 1.0 = none)\n");
-}
-
-// Precision axis: the same 96-samples/car rollout, one row per dispatch
-// variant. Weight packs are built during warm-up, so the timed region sees
-// only the steady-state decode cost — the serving-side picture, where
-// weights are frozen. Rows carry a "variant" tag in the JSON so the
-// regression gate tracks them separately from the default rows above
-// (whose names must stay stable against old baselines).
-void mc_decode_precision_axis(RankNetFixture& fix, BenchResults& results) {
-  namespace tk = tensor::kernels;
-  const int horizon = 5;
-  const int origin = 80;
-  const int samples = 96;
-  const auto restore = tk::active_variant();
-
-  std::printf("\nInference — MC decode by kernel variant "
-              "(horizon %d, origin %d, %d samples/car, single thread)\n",
-              horizon, origin, samples);
-  std::printf("%10s %10s %14s %14s %16s %12s %10s %12s\n", "Variant", "rows",
-              "us/sample", "ns/step", "allocs/forecast", "reuse", "branches",
-              "rows/branch");
-
-  double scalar_us = 0.0;
-  for (const auto variant : {tk::Variant::kScalar, tk::Variant::kAvx2,
-                             tk::Variant::kBf16, tk::Variant::kInt8}) {
-    if (!tk::cpu_supports(variant)) {
-      std::printf("%10s (not supported on this CPU, skipped)\n",
-                  tk::variant_name(variant));
-      continue;
-    }
-    (void)tk::set_variant(variant);
-    DecodeRow row = measure_decode_row(fix, samples, origin, horizon);
-    row.variant = tk::variant_name(variant);
-    results.decode[results.decode_rows++] = row;
-    print_decode_row(row, row.variant);
-    if (variant == tk::Variant::kScalar) scalar_us = row.us_per_sample;
-    if (scalar_us > 0.0 && variant != tk::Variant::kScalar) {
-      std::printf("%10s   %.2fx vs scalar\n", "",
-                  scalar_us / row.us_per_sample);
-    }
-  }
-  (void)tk::set_variant(restore);
-  std::printf("(bf16 rides the tuned f64 GEMM on pre-rounded operands — "
-              "near-avx2 speed at reduced precision; int8's win at these "
-              "cache-resident shapes is the 4x smaller pack, not time — "
-              "row quantization offsets the integer arithmetic)\n");
 }
 
 // Forecast-cache replay: the serving cadence loop asks for the same
@@ -417,13 +368,8 @@ void write_json(const BenchResults& r, const char* path) {
   std::fprintf(f, "  ],\n  \"mc_decode\": [\n");
   for (std::size_t i = 0; i < r.decode_rows; ++i) {
     const auto& d = r.decode[i];
-    if (d.variant != nullptr) {
-      std::fprintf(f, "    {\"variant\": \"%s\", ", d.variant);
-    } else {
-      std::fprintf(f, "    {");
-    }
     std::fprintf(f,
-                 "\"num_samples\": %d, \"rows\": %zu, "
+                 "    {\"num_samples\": %d, \"rows\": %zu, "
                  "\"us_per_sample\": %.3f, \"ns_per_step\": %.1f, "
                  "\"samples_per_second\": %.1f, "
                  "\"ws_allocs_per_forecast\": %.2f, "
@@ -508,7 +454,6 @@ int main() {
   RankNetFixture fixture;
   inference_thread_scaling(fixture, results);
   mc_decode_scaling(fixture, results);
-  mc_decode_precision_axis(fixture, results);
   forecast_cache_replay(fixture, results);
   write_json(results, "BENCH_fig10.json");
   return 0;

@@ -26,14 +26,7 @@ int main() {
       tensor::Kernel::kSigmoid, tensor::Kernel::kTanh};
 
   namespace tk = tensor::kernels;
-  // Precision axis: the reduced variants show how much of the MatMul dot's
-  // distance to the bandwidth roof comes from weight bytes (bf16 halves
-  // them, int8 quarters them); epilogues stay f64 so the other dots barely
-  // move. Note Adam invalidates packs every step, so training-loop numbers
-  // include the per-step repack cost — the honest serving-side picture is
-  // fig10/fig12, where weights are frozen.
-  for (const auto variant : {tk::Variant::kScalar, tk::Variant::kAvx2,
-                             tk::Variant::kBf16, tk::Variant::kInt8}) {
+  for (const auto variant : {tk::Variant::kScalar, tk::Variant::kAvx2}) {
     if (!tk::cpu_supports(variant)) {
       std::printf("kernel variant %s: not supported on this CPU, skipped\n\n",
                   tk::variant_name(variant));

@@ -15,12 +15,7 @@ int main() {
   const auto ve = core::ve_spec();
   std::printf("Fig. 12 — operation breakdown, CPU+VE hybrid\n");
 
-  // Precision axis: a reduced-precision host GEMM (bf16/int8 weight
-  // streaming) shrinks the profitable-to-offload fraction further than
-  // avx2 alone — the breakdown quantifies how much VE offload headroom
-  // quantization buys back.
-  for (const auto variant : {tk::Variant::kScalar, tk::Variant::kAvx2,
-                             tk::Variant::kBf16, tk::Variant::kInt8}) {
+  for (const auto variant : {tk::Variant::kScalar, tk::Variant::kAvx2}) {
     if (!tk::cpu_supports(variant)) {
       std::printf("\nkernel variant %s: not supported on this CPU, skipped\n",
                   tk::variant_name(variant));

@@ -256,11 +256,7 @@ void BM_SamplingRollout(benchmark::State& state, tk::Variant variant) {
 /// variant baked into the name (`BM_Foo<scalar>/32`). Registration order
 /// puts the variant sweeps after the macro-registered training benchmarks.
 void register_variant_benchmarks() {
-  // The precision axis: reduced-precision variants ride the same sweep, so
-  // BENCH_kernels.json carries ns/op per kernel x variant x shape for f64
-  // AND bf16/int8 (regression-gated by tests/check_bench_regression.py).
-  for (const auto v : {tk::Variant::kScalar, tk::Variant::kAvx2,
-                       tk::Variant::kBf16, tk::Variant::kInt8}) {
+  for (const auto v : {tk::Variant::kScalar, tk::Variant::kAvx2}) {
     if (!tk::cpu_supports(v)) continue;
     const std::string tag = std::string("<") + tk::variant_name(v) + ">";
     benchmark::RegisterBenchmark(("BM_GemmLstmGates" + tag).c_str(),

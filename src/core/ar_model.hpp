@@ -21,7 +21,6 @@
 #include "nn/embedding.hpp"
 #include "nn/gaussian.hpp"
 #include "nn/lstm.hpp"
-#include "tensor/quant.hpp"
 #include "util/rng.hpp"
 
 namespace ranknet::core {
@@ -52,22 +51,6 @@ class LstmSeqModel : public nn::Layer {
   /// trainer on training ranks.
   void set_scaler(const features::StandardScaler& scaler) { scaler_ = scaler; }
   const features::StandardScaler& scaler() const { return scaler_; }
-
-  /// int8 activation calibration recorded by a probe pass (see
-  /// core::calibrate_forecaster) or loaded from a v3 artifact. A non-empty
-  /// calibration is installed process-wide for future int8 packs — the
-  /// last calibrated model wins, which is fine for the one-serving-model
-  /// processes this targets. Callers must bump the serving model_version:
-  /// forecast-cache keys do not see calibration.
-  void set_calibration(tensor::quant::Calibration calibration) {
-    calibration_ = std::move(calibration);
-    if (!calibration_.empty()) {
-      tensor::quant::set_activation_calibration(calibration_);
-    }
-  }
-  const tensor::quant::Calibration& calibration() const {
-    return calibration_;
-  }
 
   // ---- training (Algorithm 1) ----------------------------------------
 
@@ -197,7 +180,6 @@ class LstmSeqModel : public nn::Layer {
 
   SeqModelConfig config_;
   features::StandardScaler scaler_{0.0, 1.0};
-  tensor::quant::Calibration calibration_;
   std::unique_ptr<nn::Embedding> embedding_;  // null when embed_dim == 0
   std::vector<std::unique_ptr<nn::LstmLayer>> layers_;
   std::unique_ptr<nn::GaussianHead> head_;

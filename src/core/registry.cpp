@@ -115,33 +115,17 @@ TrainConfig event_train_config(const TrainConfig& base,
   return cfg;
 }
 
-/// Generic cached train-or-load for either sequence model type. Models
-/// that carry an int8 activation calibration (LstmSeqModel) round-trip it
-/// through the v3 artifact; others use the plain v2 format.
+/// Generic cached train-or-load for either sequence model type.
 template <typename Model, typename TrainFn>
 TrainStats load_or_train(Model& model, const std::string& path,
                          TrainFn&& train_fn) {
   if (std::filesystem::exists(path)) {
-    tensor::quant::Calibration calib;
-    if (util::Status s = nn::try_load_params(path, model.params(), &calib);
-        !s.ok()) {
-      throw std::runtime_error("load_params: " + s.to_string());
-    }
-    if constexpr (requires { model.set_calibration(std::move(calib)); }) {
-      model.set_calibration(std::move(calib));
-    }
+    nn::load_params(path, model.params());
     util::log_info("loaded cached model: " + path);
     return {};
   }
   TrainStats stats = train_fn();
-  bool saved = false;
-  if constexpr (requires { model.calibration(); }) {
-    if (!model.calibration().empty()) {
-      nn::save_params(path, model.params(), model.calibration());
-      saved = true;
-    }
-  }
-  if (!saved) nn::save_params(path, model.params());
+  nn::save_params(path, model.params());
   util::log_info(util::format("trained in %.1fs, cached to %s", stats.seconds,
                               path.c_str()));
   return stats;
@@ -342,22 +326,6 @@ std::unique_ptr<TransformerForecaster> ModelZoo::transformer_oracle(
   return std::make_unique<TransformerForecaster>(
       bundle.model, nullptr, bundle.vocab, bundle.wcfg.covariates,
       StatusSource::kOracle, "Transformer-Oracle");
-}
-
-tensor::quant::Calibration calibrate_forecaster(
-    RaceForecaster& forecaster, const telemetry::RaceLog& probe,
-    int origin_lap, int horizon, int num_samples, std::uint64_t seed) {
-  tensor::quant::recording_begin();
-  util::Rng rng(seed);
-  try {
-    forecaster.forecast(probe, origin_lap, horizon, num_samples, rng);
-  } catch (...) {
-    tensor::quant::recording_end();
-    throw;
-  }
-  tensor::quant::Calibration calib = tensor::quant::recording_end();
-  tensor::quant::set_activation_calibration(calib);
-  return calib;
 }
 
 }  // namespace ranknet::core

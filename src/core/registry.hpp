@@ -88,15 +88,4 @@ class ModelZoo {
   ZooConfig config_;
 };
 
-/// int8 calibration pass (tensor/quant.hpp): records per-tensor activation
-/// absmax over one probe-race forecast, installs the result process-wide
-/// (future int8 packs pick it up by tensor name) and returns it so callers
-/// can stamp it onto the model (LstmSeqModel::set_calibration) and persist
-/// it in the v3 artifact (nn::save_params calibration overload). Runs the
-/// probe under whatever kernel variant is active — the recorded ranges are
-/// f64 activation statistics either way.
-tensor::quant::Calibration calibrate_forecaster(
-    RaceForecaster& forecaster, const telemetry::RaceLog& probe,
-    int origin_lap, int horizon, int num_samples, std::uint64_t seed = 2024);
-
 }  // namespace ranknet::core

@@ -234,7 +234,6 @@ CandidateFitter make_incremental_lstm_fitter(
       dst[i]->value = src[i]->value;
     }
     candidate->set_scaler(base->scaler());
-    candidate->set_calibration(base->calibration());
 
     std::vector<telemetry::RaceLog> fresh;
     fresh.reserve(train.size());
@@ -248,8 +247,7 @@ CandidateFitter make_incremental_lstm_fitter(
       return util::Status::failed_precondition(
           "incremental fit: no windows from the train races");
     }
-    nn::save_params(artifact_path, candidate->params(),
-                    candidate->calibration());
+    nn::save_params(artifact_path, candidate->params());
 
     FittedCandidate out;
     out.forecaster = std::make_shared<RankNetForecaster>(

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "tensor/kernels.hpp"
-#include "tensor/quant.hpp"
 
 namespace ranknet::nn {
 
@@ -48,9 +47,6 @@ void Adam::step() {
       value[j] -= config_.lr * mhat / (std::sqrt(vhat) + config_.eps);
       grad[j] = 0.0;
     }
-    // In-place weight mutation: any reduced-precision pack of this tensor
-    // is now stale.
-    tensor::quant::invalidate(value);
   }
 }
 

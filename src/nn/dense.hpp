@@ -37,9 +37,6 @@ class Dense : public Layer {
   const tensor::Matrix& weight() const { return weight_.value; }
   const tensor::Matrix& bias() const { return bias_.value; }
   Activation activation() const { return activation_; }
-  /// Name of the weight parameter ("<layer>.weight") — the annotation/
-  /// calibration key for reduced-precision packs (tensor::quant).
-  const std::string& weight_name() const { return weight_.name; }
 
  private:
   tensor::Matrix apply(const tensor::Matrix& x, tensor::Matrix* pre) const;

@@ -2,25 +2,10 @@
 
 #include <stdexcept>
 
-#include "tensor/quant.hpp"
-
 namespace ranknet::nn {
-
-DenseInferenceSession::DenseInferenceSession(const Dense& layer)
-    : layer_(&layer) {
-  // Bind the weight pointer to its tensor name so reduced-precision packs
-  // can resolve their calibrated activation range (no-op cost otherwise).
-  tensor::quant::annotate(layer.weight().data(), layer.weight_name());
-}
 
 void DenseInferenceSession::apply(tensor::ConstMatrixView x,
                                   tensor::MatrixView y) const {
-  if (tensor::quant::recording_active()) {
-    for (std::size_t r = 0; r < x.rows(); ++r) {
-      tensor::quant::record_activation(layer_->weight_name(), x.row(r).data(),
-                                       x.cols());
-    }
-  }
   // Same dispatched op as Dense::apply — layer and session share one
   // compiled path per variant, so their outputs are bit-identical.
   tensor::dense_forward(x, tensor::ConstMatrixView(layer_->weight()),
@@ -45,14 +30,6 @@ void EmbeddingInferenceSession::gather(std::span<const int> indices,
 void GaussianInferenceSession::forward(tensor::ConstMatrixView h,
                                        tensor::MatrixView mu,
                                        tensor::MatrixView sigma) const {
-  if (tensor::quant::recording_active()) {
-    for (std::size_t r = 0; r < h.rows(); ++r) {
-      tensor::quant::record_activation(mu_.layer().weight_name(),
-                                       h.row(r).data(), h.cols());
-      tensor::quant::record_activation(sigma_.layer().weight_name(),
-                                       h.row(r).data(), h.cols());
-    }
-  }
   tensor::gaussian_head_forward(
       h, tensor::ConstMatrixView(mu_.layer().weight()),
       tensor::ConstMatrixView(mu_.layer().bias()).row(0),
@@ -130,13 +107,6 @@ LstmInferenceSession::LstmInferenceSession(const LstmLayer& layer,
       w_packed_(in_ + r, c) = wh(r, c);
     }
   }
-  // The workspace slot may be a reused address whose previous contents were
-  // packed by a reduced-precision variant: drop any stale pack, then bind
-  // the packed tensor's calibration name. (Pointer-keyed pack coherence —
-  // see tensor/quant.hpp.)
-  tensor::quant::invalidate(w_packed_.data());
-  tensor::quant::annotate(w_packed_.data(), layer.wx_name());
-
   xh_ = ws.take_zeroed(batch_, in_ + hidden_);
   h_ = ws.take_zeroed(batch_, hidden_);
   c_ = ws.take_zeroed(batch_, hidden_);
@@ -225,10 +195,6 @@ void LstmInferenceSession::step() {
     double* dst = xh_.data() + r * xh_.cols() + in_;
     const double* src = h_.data() + r * hidden_;
     for (std::size_t j = 0; j < hidden_; ++j) dst[j] = src[j];
-  }
-  if (tensor::quant::recording_active()) {
-    tensor::quant::record_activation(layer_->wx_name(), xh_.data(),
-                                     batch_ * xh_.cols());
   }
   tensor::lstm_cell_step(xh_, w_packed_, bias_, c_, h_, scratch_);
 }

@@ -39,7 +39,7 @@ namespace ranknet::nn {
 class DenseInferenceSession {
  public:
   DenseInferenceSession() = default;
-  explicit DenseInferenceSession(const Dense& layer);
+  explicit DenseInferenceSession(const Dense& layer) : layer_(&layer) {}
 
   /// y must be (x.rows() x output_dim); y may not alias x.
   void apply(tensor::ConstMatrixView x, tensor::MatrixView y) const;

@@ -53,9 +53,6 @@ class LstmLayer : public Layer {
   const tensor::Matrix& wx() const { return wx_.value; }
   const tensor::Matrix& wh() const { return wh_.value; }
   const tensor::Matrix& bias() const { return b_.value; }
-  /// Name of the wx parameter ("<layer>.wx") — the annotation/calibration
-  /// key for the packed [wx ; wh] GEMM (tensor::quant).
-  const std::string& wx_name() const { return wx_.name; }
 
  private:
   // Computes gates for one step; writes post-activation gates (batch x 4h)

@@ -18,6 +18,7 @@ constexpr std::uint64_t kMagicV1 = 0x524b4e45542d3031ULL;  // "RKNET-01"
 constexpr std::uint64_t kMagicV2 = 0x524b4e54763253ULL;  // "RKNTv2S"
 constexpr std::uint32_t kSchemaVersion = 2;
 // v3 appends a calibration section to the payload; same magic and envelope.
+// Read-only: the section is validated and discarded.
 constexpr std::uint32_t kSchemaVersionCalibrated = 3;
 // A parameter name longer than this means the length field is garbage.
 constexpr std::uint64_t kMaxNameLen = 1 << 16;
@@ -43,11 +44,11 @@ util::Result<std::string> read_string(std::istream& in) {
   return s;
 }
 
-/// v3 calibration section: entry count, then per entry a tensor name, the
-/// recorded activation absmax, and the (always-zero, symmetric) zero point.
-util::Status load_calibration(std::istream& in,
-                              tensor::quant::Calibration& out,
-                              const std::string& path) {
+/// v3 calibration section: entry count, then per entry a tensor name, an
+/// activation absmax, and the (always-zero, symmetric) zero point. Nothing
+/// reads the ranges any more, but the section is input from outside the
+/// program, so it is still validated in full before being skipped.
+util::Status skip_calibration(std::istream& in, const std::string& path) {
   std::uint64_t count = 0;
   in.read(reinterpret_cast<char*>(&count), sizeof(count));
   if (!in) {
@@ -60,7 +61,6 @@ util::Status load_calibration(std::istream& in,
         util::format("implausible calibration entry count %llu in %s",
                      static_cast<unsigned long long>(count), path.c_str()));
   }
-  tensor::quant::Calibration calib;
   for (std::uint64_t i = 0; i < count; ++i) {
     auto name = read_string(in);
     if (!name.ok()) return name.status();
@@ -71,16 +71,14 @@ util::Status load_calibration(std::istream& in,
       return util::Status::corrupt_data("truncated calibration entry in " +
                                         path);
     }
-    // The runtime quantizes symmetrically; an asymmetric artifact would be
-    // silently misinterpreted, so reject it loudly instead.
+    // The v3 writer only ever emitted symmetric (zero) zero points; any
+    // other value means the bytes are not what that writer produced.
     if (zero_point != 0.0) {
       return util::Status::corrupt_data(
           "nonzero int8 zero point for '" + name.value() + "' in " + path +
-          " (runtime is symmetric-only)");
+          " (v3 calibration is symmetric-only)");
     }
-    calib[name.value()] = absmax;
   }
-  out = std::move(calib);
   return {};
 }
 
@@ -90,9 +88,8 @@ util::Status load_calibration(std::istream& in,
 /// a model half-overwritten.
 util::Status load_payload(std::istream& in,
                           const std::vector<Parameter*>& params,
-                          std::uint32_t version,
-                          tensor::quant::Calibration* calibration,
-                          const std::string& path, bool strict_tail) {
+                          std::uint32_t version, const std::string& path,
+                          bool strict_tail) {
   std::uint64_t count = 0;
   in.read(reinterpret_cast<char*>(&count), sizeof(count));
   if (!in) return util::Status::corrupt_data("truncated header in " + path);
@@ -124,11 +121,10 @@ util::Status load_payload(std::istream& in,
     }
     staged.push_back(std::move(m));
   }
-  // Parse the calibration section (when present) before committing any
+  // Validate the calibration section (when present) before committing any
   // parameter, so a truncated tail leaves the model untouched too.
-  tensor::quant::Calibration calib;
   if (version >= kSchemaVersionCalibrated) {
-    if (util::Status s = load_calibration(in, calib, path); !s.ok()) return s;
+    if (util::Status s = skip_calibration(in, path); !s.ok()) return s;
   }
   // The payload must end exactly where the last section does. Trailing
   // bytes mean the writer and this parser disagree about the schema (e.g.
@@ -141,21 +137,16 @@ util::Status load_payload(std::istream& in,
                                       path);
   }
   for (std::size_t i = 0; i < params.size(); ++i) {
-    // The commit both frees the old weight storage and may land the new
-    // storage on a previously-packed address: drop reduced-precision packs
-    // keyed to either pointer.
-    tensor::quant::invalidate(params[i]->value.data());
     params[i]->value = std::move(staged[i]);
-    tensor::quant::invalidate(params[i]->value.data());
     params[i]->zero_grad();
   }
-  if (calibration != nullptr) *calibration = std::move(calib);
   return {};
 }
 
-void save_artifact(const std::string& path,
-                   const std::vector<Parameter*>& params,
-                   const tensor::quant::Calibration* calibration) {
+}  // namespace
+
+void save_params(const std::string& path,
+                 const std::vector<Parameter*>& params) {
   std::ostringstream payload(std::ios::binary);
   const std::uint64_t count = params.size();
   payload.write(reinterpret_cast<const char*>(&count), sizeof(count));
@@ -163,49 +154,23 @@ void save_artifact(const std::string& path,
     write_string(payload, p->name);
     tensor::write_matrix(payload, p->value);
   }
-  if (calibration != nullptr) {
-    const std::uint64_t n = calibration->size();
-    payload.write(reinterpret_cast<const char*>(&n), sizeof(n));
-    for (const auto& [name, absmax] : *calibration) {
-      write_string(payload, name);
-      const double zero_point = 0.0;  // symmetric quantization only
-      payload.write(reinterpret_cast<const char*>(&absmax), sizeof(absmax));
-      payload.write(reinterpret_cast<const char*>(&zero_point),
-                    sizeof(zero_point));
-    }
-  }
   const std::string bytes = payload.str();
   const std::uint64_t checksum = util::fnv1a(bytes);
   const std::uint64_t size = bytes.size();
-  const std::uint32_t version =
-      calibration != nullptr ? kSchemaVersionCalibrated : kSchemaVersion;
 
   std::ofstream out(path, std::ios::binary);
   if (!out) throw std::runtime_error("save_params: cannot open " + path);
   out.write(reinterpret_cast<const char*>(&kMagicV2), sizeof(kMagicV2));
-  out.write(reinterpret_cast<const char*>(&version), sizeof(version));
+  out.write(reinterpret_cast<const char*>(&kSchemaVersion),
+            sizeof(kSchemaVersion));
   out.write(reinterpret_cast<const char*>(&size), sizeof(size));
   out.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
   out.write(bytes.data(), static_cast<std::streamsize>(size));
   if (!out) throw std::runtime_error("save_params: write failed: " + path);
 }
 
-}  // namespace
-
-void save_params(const std::string& path,
-                 const std::vector<Parameter*>& params) {
-  save_artifact(path, params, nullptr);
-}
-
-void save_params(const std::string& path,
-                 const std::vector<Parameter*>& params,
-                 const tensor::quant::Calibration& calibration) {
-  save_artifact(path, params, &calibration);
-}
-
 util::Status try_load_params(const std::string& path,
-                             const std::vector<Parameter*>& params,
-                             tensor::quant::Calibration* calibration) {
+                             const std::vector<Parameter*>& params) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return util::Status::not_found("cannot open " + path);
   std::uint64_t magic = 0;
@@ -214,7 +179,7 @@ util::Status try_load_params(const std::string& path,
 
   if (magic == kMagicV1) {
     // Legacy pre-checksum artifacts stay loadable (backward compat).
-    return load_payload(in, params, /*version=*/1, calibration, path,
+    return load_payload(in, params, /*version=*/1, path,
                         /*strict_tail=*/false);
   }
   if (magic != kMagicV2) {
@@ -255,13 +220,7 @@ util::Status try_load_params(const std::string& path,
                                       " (artifact is corrupt)");
   }
   std::istringstream payload(bytes, std::ios::binary);
-  return load_payload(payload, params, version, calibration, path,
-                      /*strict_tail=*/true);
-}
-
-util::Status try_load_params(const std::string& path,
-                             const std::vector<Parameter*>& params) {
-  return try_load_params(path, params, nullptr);
+  return load_payload(payload, params, version, path, /*strict_tail=*/true);
 }
 
 void load_params(const std::string& path,

@@ -5,35 +5,28 @@
 //   checksum, then the payload: count, then per parameter: name, rows, cols,
 //   data. The checksum makes a bit-flipped or truncated artifact fail loudly
 //   at load instead of poisoning a serving model.
-// v3 format (written by the calibration overload of save_params): same
-//   envelope and magic, schema version 3, and the payload gains a trailing
-//   calibration section after the parameters: u64 entry count, then per
-//   entry: name string, f64 activation absmax, f64 zero point. The section
-//   carries the int8 activation ranges recorded by a calibration pass
-//   (tensor/quant.hpp) so a quantized model round-trips through the
-//   artifact cache without re-probing.
+// v3 format (no longer written): same envelope and magic, schema version 3,
+//   and the payload carries a trailing calibration section after the
+//   parameters: u64 entry count, then per entry: name string, f64
+//   activation absmax, f64 zero point. Nothing reads those int8
+//   activation ranges any more; the loader parses the section strictly
+//   (entry-count bound, truncation, zero zero point) and discards it.
 // v1 files (the pre-checksum format: bare magic + count + parameters) are
-// still readable so existing artifacts/*.bin caches keep working; v2 files
-// simply load with an empty calibration. v2+ payloads are parsed strictly:
-// bytes after the last declared section are corruption, not padding.
+// still readable so existing artifacts/*.bin caches keep working. v2+
+// payloads are parsed strictly: bytes after the last declared section are
+// corruption, not padding.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "nn/param.hpp"
-#include "tensor/quant.hpp"
 #include "util/status.hpp"
 
 namespace ranknet::nn {
 
 void save_params(const std::string& path,
                  const std::vector<Parameter*>& params);
-
-/// v3 save: parameters plus the per-tensor activation calibration table.
-void save_params(const std::string& path,
-                 const std::vector<Parameter*>& params,
-                 const tensor::quant::Calibration& calibration);
 
 /// Loads into existing parameters (shapes/names must match); throws
 /// std::runtime_error on any mismatch or I/O failure.
@@ -45,13 +38,5 @@ void load_params(const std::string& path,
 /// On error no parameter is modified.
 util::Status try_load_params(const std::string& path,
                              const std::vector<Parameter*>& params);
-
-/// Calibration-aware load: like try_load_params, and additionally fills
-/// `calibration` from a v3 artifact's calibration section (cleared for
-/// v1/v2 artifacts, which predate calibration). `calibration` may be null
-/// when the caller only wants the weights.
-util::Status try_load_params(const std::string& path,
-                             const std::vector<Parameter*>& params,
-                             tensor::quant::Calibration* calibration);
 
 }  // namespace ranknet::nn

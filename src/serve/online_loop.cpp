@@ -1,6 +1,5 @@
 #include "serve/online_loop.hpp"
 
-#include <cmath>
 #include <utility>
 
 #include "ml/online_linear.hpp"
@@ -50,7 +49,6 @@ core::CandidateFitter make_affine_fitter(AffineFitterConfig config) {
                   const std::string& artifact_path)
              -> util::Result<core::FittedCandidate> {
     ml::OnlineLinearFit fit;
-    double absmax = 0.0;
     const auto h = static_cast<std::size_t>(config.horizon);
     for (const auto& race : train) {
       // Oldest race decays the most: one decay per boundary *before* its
@@ -61,7 +59,6 @@ core::CandidateFitter make_affine_fitter(AffineFitterConfig config) {
         if (rank.size() <= h) continue;
         for (std::size_t i = 0; i + h < rank.size(); ++i) {
           fit.add(rank[i], rank[i + h]);
-          absmax = std::max(absmax, std::abs(rank[i]));
         }
       }
     }
@@ -72,11 +69,7 @@ core::CandidateFitter make_affine_fitter(AffineFitterConfig config) {
     const auto coeffs = fit.fit(config.ridge);
 
     AffineRankModel model(coeffs.slope, coeffs.intercept);
-    // v3 artifact with a genuine calibration entry — the parser fuzz tests
-    // corrupt exactly this section on trainer-emitted artifacts.
-    tensor::quant::Calibration calibration;
-    calibration["affine"] = absmax;
-    nn::save_params(artifact_path, model.params(), calibration);
+    nn::save_params(artifact_path, model.params());
 
     core::FittedCandidate out;
     out.forecaster =

@@ -16,9 +16,9 @@
 //     identical for any engine thread count.
 //   * make_affine_fitter — a CandidateFitter that refits the serving
 //     AffineRankModel on the train window by exponentially-decayed least
-//     squares (ml::OnlineLinearFit) and emits a v3 artifact with a real
-//     calibration section. Microsecond-cheap, so soak tests drive hundreds
-//     of full promote/rollback cycles in CI time.
+//     squares (ml::OnlineLinearFit) and emits a v2 artifact.
+//     Microsecond-cheap, so soak tests drive hundreds of full
+//     promote/rollback cycles in CI time.
 //   * OnlineLoop — the session object gluing a long-lived StreamIngestor
 //     (begin_race per race), the ReplayBuffer and the OnlineTrainer.
 #pragma once
@@ -69,8 +69,7 @@ struct AffineFitterConfig {
 };
 
 /// Deterministic affine refit on the train window; ignores the per-attempt
-/// seed (the fit is closed-form). Emits a v3 artifact whose calibration
-/// section records the observed |rank| absmax.
+/// seed (the fit is closed-form). Emits a v2 artifact.
 core::CandidateFitter make_affine_fitter(AffineFitterConfig config = {});
 
 struct OnlineLoopConfig {

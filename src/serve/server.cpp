@@ -73,7 +73,7 @@ ForecastServer::ForecastServer(ModelRegistry& registry, ServerConfig config)
   // Pin the serving numerics point into the metrics surface: forecast
   // bytes (and cache keys) depend on the active kernel variant, so an
   // operator reading a serve dashboard can see at a glance whether this
-  // process decodes in f64 (scalar/avx2) or reduced precision (bf16/int8).
+  // process decodes with the scalar or the avx2 kernels.
   reg.gauge("serve.kernel.active_variant")
       .set(static_cast<double>(
           static_cast<int>(tensor::kernels::active_variant())));

@@ -19,14 +19,12 @@ namespace {
 std::atomic<const Dispatch*> g_active{nullptr};
 
 struct VariantCounters {
-  obs::Counter* calls[4];
+  obs::Counter* calls[2];
   obs::Gauge* active;
   VariantCounters() {
     auto& reg = obs::Registry::instance();
     calls[0] = &reg.counter("tensor.kernel.scalar.calls");
     calls[1] = &reg.counter("tensor.kernel.avx2.calls");
-    calls[2] = &reg.counter("tensor.kernel.bf16.calls");
-    calls[3] = &reg.counter("tensor.kernel.int8.calls");
     active = &reg.gauge("tensor.kernel.active_variant");
   }
 };
@@ -36,9 +34,6 @@ VariantCounters& counters() {
   return c;
 }
 
-/// Auto-detection only ever picks a FULL-PRECISION variant: the reduced-
-/// precision tables change numerics, so they are opt-in (RANKNET_KERNEL or
-/// set_variant), never a silent default.
 Variant best_supported() {
   return cpu_supports(Variant::kAvx2) ? Variant::kAvx2 : Variant::kScalar;
 }
@@ -66,10 +61,6 @@ const char* variant_name(Variant v) {
   switch (v) {
     case Variant::kAvx2:
       return "avx2";
-    case Variant::kBf16:
-      return "bf16";
-    case Variant::kInt8:
-      return "int8";
     case Variant::kScalar:
       break;
   }
@@ -77,9 +68,6 @@ const char* variant_name(Variant v) {
 }
 
 bool cpu_supports(Variant v) {
-  // The reduced-precision variants are portable emulations: their GEMMs
-  // are plain C++ and their remaining entries inherit from whichever
-  // full-precision table the CPU supports.
   if (v != Variant::kAvx2) return true;
 #if defined(__x86_64__) || defined(__i386__)
   return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
@@ -92,10 +80,6 @@ const Dispatch& table(Variant v) {
   switch (v) {
     case Variant::kAvx2:
       return detail::avx2_table();
-    case Variant::kBf16:
-      return detail::bf16_table();
-    case Variant::kInt8:
-      return detail::int8_table();
     case Variant::kScalar:
       break;
   }
@@ -125,11 +109,9 @@ util::Status set_variant(Variant v) {
 util::Result<Variant> parse_variant(std::string_view s) {
   if (s == "scalar") return Variant::kScalar;
   if (s == "avx2") return Variant::kAvx2;
-  if (s == "bf16") return Variant::kBf16;
-  if (s == "int8") return Variant::kInt8;
   return util::Status::invalid_argument(
       "RANKNET_KERNEL: unknown kernel variant '" + std::string(s) +
-      "' (expected 'scalar', 'avx2', 'bf16' or 'int8')");
+      "' (expected 'scalar' or 'avx2')");
 }
 
 util::Status apply_env_override(const char* value) {
@@ -143,7 +125,7 @@ util::Status apply_env_override(const char* value) {
 }
 
 void note_call(Variant v) {
-  counters().calls[static_cast<int>(v) & 3]->add(1);
+  counters().calls[static_cast<int>(v) & 1]->add(1);
 }
 
 }  // namespace ranknet::tensor::kernels

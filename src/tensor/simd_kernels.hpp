@@ -3,7 +3,7 @@
 // Every kernel in tensor/kernels.cpp that sits on the Monte-Carlo decode
 // path (the packed-GEMM + gate-nonlinearity sequence of the LSTM cell, the
 // dense/Gaussian head, and the elementwise Hadamard updates) routes through
-// a per-process dispatch table selected here. Four variants exist:
+// a per-process dispatch table selected here. Two variants exist:
 //
 //   * kScalar — the original portable loops in kernels.cpp. This is the
 //     numerical reference: golden CSVs under tests/golden are regenerated
@@ -13,23 +13,13 @@
 //     blocked GEMM / GEMV, one shared 4-lane exp used by sigmoid/tanh, and
 //     a fused LSTM gate kernel that runs bias + activations + state update
 //     in one pass over the gate matrix.
-//   * kBf16 / kInt8 — reduced-precision GEMMs (simd_kernels_quant.cpp +
-//     quant.cpp): the weight operand of every dispatched GEMM streams from
-//     a packed 16-bit (bf16 round-to-nearest-even) or 8-bit (symmetric
-//     per-tensor int8, optionally activation-calibrated) sidecar and
-//     up-converts into f64 accumulators; every non-GEMM entry and all
-//     fused epilogues are inherited from the best-supported full-precision
-//     table. These variants trade bounded numeric drift for bytes — the
-//     decode GEMMs are memory-bandwidth-bound (DESIGN.md) — and are
-//     OPT-IN only: auto-detection never selects them.
 //
-// Selection: the first call to dispatch() picks the best FULL-PRECISION
-// variant the CPU supports (avx2 when available), unless the
-// RANKNET_KERNEL environment variable overrides it ("scalar", "avx2",
-// "bf16" or "int8"). Unknown values or requesting avx2 on a CPU without it
-// fail fast with util::Status. Tests and benches may switch variants at
-// runtime with set_variant(); switching while kernels are executing on
-// other threads is not supported.
+// Selection: the first call to dispatch() picks the best variant the CPU
+// supports (avx2 when available), unless the RANKNET_KERNEL environment
+// variable overrides it ("scalar" or "avx2"). Unknown values or requesting
+// avx2 on a CPU without it fail fast with util::Status. Tests and benches
+// may switch variants at runtime with set_variant(); switching while
+// kernels are executing on other threads is not supported.
 //
 // Determinism contract (enforced by tests/test_kernel_equivalence.cpp):
 //   * Within a variant, results are bit-identical run-to-run, across
@@ -43,14 +33,8 @@
 //     one FMA, and both paths share the same 4-lane exp — this is what
 //     keeps inference sessions bit-identical to the training-path layers
 //     under either variant.
-//   * Across the full-precision variants, results drift only by
-//     reassociation/contraction: per-element ULP-bounded, never
-//     structurally different. The reduced-precision variants drift by
-//     their quantization error instead — bounded by the MAE fences in
-//     tests/test_quant_kernels.cpp — while keeping every within-variant
-//     bit-identity guarantee above (their int8 activation scales are
-//     per-row or calibration-fixed, never per-batch, precisely so decode
-//     tree == independent decode still holds bit-for-bit per variant).
+//   * Across variants, results drift only by reassociation/contraction:
+//     per-element ULP-bounded, never structurally different.
 #pragma once
 
 #include <cstddef>
@@ -60,14 +44,12 @@
 
 namespace ranknet::tensor::kernels {
 
-enum class Variant { kScalar = 0, kAvx2 = 1, kBf16 = 2, kInt8 = 3 };
+enum class Variant { kScalar = 0, kAvx2 = 1 };
 
-/// "scalar" / "avx2" / "bf16" / "int8".
+/// "scalar" / "avx2".
 const char* variant_name(Variant v);
 
-/// True when the running CPU can execute the variant (kScalar: always;
-/// kBf16/kInt8: always — they are portable emulations whose non-GEMM
-/// entries fall back to scalar when AVX2 is absent).
+/// True when the running CPU can execute the variant (kScalar: always).
 bool cpu_supports(Variant v);
 
 /// Activation codes for the fused dense epilogue (mirrors nn::Activation;
@@ -131,7 +113,7 @@ const Dispatch& table(Variant v);
 /// lacks the variant. Overrides any earlier RANKNET_KERNEL choice.
 util::Status set_variant(Variant v);
 
-/// "scalar" / "avx2" / "bf16" / "int8" → Variant; anything else is
+/// "scalar" / "avx2" → Variant; anything else is
 /// kInvalidArgument.
 util::Result<Variant> parse_variant(std::string_view s);
 

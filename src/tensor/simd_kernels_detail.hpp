@@ -30,12 +30,7 @@ void add_bias_rows_scalar(double* m, const double* bias, std::size_t rows,
 // Variant tables. scalar_table() lives in simd_kernels.cpp; avx2_table()
 // lives in simd_kernels_avx2.cpp (compiled with -mavx2 -mfma; on non-x86
 // targets it aliases the scalar table and cpu_supports(kAvx2) is false).
-// bf16_table()/int8_table() live in simd_kernels_quant.cpp: copies of the
-// best-supported full-precision table with gemm_nn replaced by the
-// packed reduced-precision GEMM.
 const kernels::Dispatch& scalar_table();
 const kernels::Dispatch& avx2_table();
-const kernels::Dispatch& bf16_table();
-const kernels::Dispatch& int8_table();
 
 }  // namespace ranknet::tensor::detail

@@ -14,9 +14,6 @@ Three input formats are understood:
     "fig10_rollout_us_per_sample/<S>" (end-to-end MC rollout, ns/sample)
     and "fig10_cache_hit_us_per_sample/<S>" (forecast-cache replay) so the
     serving path is gated by the same ratio check as the microkernels.
-    Rows carrying a "variant" field (the reduced-precision axis) become
-    "fig10_rollout_us_per_sample/<S>@<variant>" — the default rows' names
-    are unchanged so old baselines keep matching.
   * the serve_load bench's JSON ("serve_load" key): per configuration
     (window x fault profile x deadline), synthesized entries
     "serve_ns_per_forecast/<cfg>" (1e9 / forecasts_per_sec — inverted so
@@ -59,8 +56,6 @@ def load_times(path):
     if "mc_decode" in doc:  # fig10_batch_scaling output
         for row in doc["mc_decode"]:
             name = f"fig10_rollout_us_per_sample/{row['num_samples']}"
-            if "variant" in row:  # reduced-precision axis row
-                name += f"@{row['variant']}"
             out[name] = float(row["us_per_sample"]) * 1e3  # us -> ns
         for row in doc.get("forecast_cache", []):
             name = f"fig10_cache_hit_us_per_sample/{row['num_samples']}"

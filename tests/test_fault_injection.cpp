@@ -24,6 +24,7 @@
 #include "simulator/fault_injector.hpp"
 #include "simulator/season.hpp"
 #include "telemetry/stream_ingestor.hpp"
+#include "test_support.hpp"
 
 namespace {
 
@@ -877,8 +878,10 @@ TEST(WireFaultInjector, CountersAccountForEveryFrame) {
 TEST(WireFaultInjector, ArtifactCorruptionMidSwapIsContainedAndRollbackFires) {
   const auto race =
       sim::simulate_race({"Indy500", 2019, 60, sim::Usage::kTest});
-  const std::string good = "/tmp/ranknet_fault_swap_good.bin";
-  const std::string cand = "/tmp/ranknet_fault_swap_cand.bin";
+  const std::string good =
+      test_support::unique_temp_path("fault_swap_good.bin");
+  const std::string cand =
+      test_support::unique_temp_path("fault_swap_cand.bin");
   serve::AffineRankModel::save_artifact(good, 1.0, 0.0);
   serve::AffineRankModel::save_artifact(cand, 1.2, 0.5);
 

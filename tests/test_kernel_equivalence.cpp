@@ -138,16 +138,21 @@ TEST(KernelDispatch, ParseVariantRoundTrips) {
 }
 
 TEST(KernelDispatch, UnknownVariantFailsFast) {
-  const auto r = tk::parse_variant("sse9");
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), util::StatusCode::kInvalidArgument);
-
+  // "bf16" and "int8" name the retired reduced-precision variants: they
+  // must fail fast like any other unknown value, never run silently.
   const tk::Variant before = tk::active_variant();
-  const util::Status st = tk::apply_env_override("bogus");
-  EXPECT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), util::StatusCode::kInvalidArgument);
-  // A rejected override must not half-switch the table.
-  EXPECT_EQ(tk::active_variant(), before);
+  for (const char* value : {"sse9", "bogus", "bf16", "int8"}) {
+    SCOPED_TRACE(value);
+    const auto r = tk::parse_variant(value);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), util::StatusCode::kInvalidArgument);
+
+    const util::Status st = tk::apply_env_override(value);
+    EXPECT_FALSE(st.ok());
+    EXPECT_EQ(st.code(), util::StatusCode::kInvalidArgument);
+    // A rejected override must not half-switch the table.
+    EXPECT_EQ(tk::active_variant(), before);
+  }
 }
 
 TEST(KernelDispatch, TableReportsItsVariant) {

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -16,6 +17,7 @@
 #include "nn/lstm.hpp"
 #include "nn/serialize.hpp"
 #include "tensor/serialize.hpp"
+#include "test_support.hpp"
 #include "util/stats.hpp"
 
 namespace {
@@ -277,9 +279,41 @@ TEST(Serialize, SavedArtifactsUseTheV2ChecksummedFormat) {
   nn::save_params(path, a.params());
   std::ifstream in(path, std::ios::binary);
   std::uint64_t magic = 0;
+  std::uint32_t version = 0;
   in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
+  in.read(reinterpret_cast<char*>(&version), sizeof(version));
   EXPECT_EQ(magic, 0x524b4e54763253ULL);  // v2 magic
+  EXPECT_EQ(version, 2u);
   std::filesystem::remove(path);
+}
+
+TEST(Serialize, V3ArtifactLoadsSameParamBytesAsV2) {
+  // v3 files carry a calibration section after the parameters. The loader
+  // validates and discards it, so a v3 file and the v2 file built from the
+  // same parameters must install identical bytes.
+  Rng rng(14);
+  Dense a(4, 3, rng);
+  const std::string v2 = test_support::unique_temp_path("nn_v2.bin");
+  const std::string v3 = test_support::unique_temp_path("nn_v3.bin");
+  nn::save_params(v2, a.params());
+  test_support::write_v3_artifact(
+      v3, a.params(), {{"dense.weight", 4.25}, {"head.mu.weight", 1.5}});
+
+  Dense from_v2(4, 3, rng), from_v3(4, 3, rng);
+  ASSERT_TRUE(nn::try_load_params(v2, from_v2.params()).ok());
+  ASSERT_TRUE(nn::try_load_params(v3, from_v3.params()).ok());
+  for (std::size_t i = 0; i < a.params().size(); ++i) {
+    const Matrix& want = a.params()[i]->value;
+    const Matrix& got2 = from_v2.params()[i]->value;
+    const Matrix& got3 = from_v3.params()[i]->value;
+    ASSERT_TRUE(got2.same_shape(want));
+    ASSERT_TRUE(got3.same_shape(want));
+    const std::size_t bytes = want.size() * sizeof(double);
+    EXPECT_EQ(std::memcmp(got2.data(), want.data(), bytes), 0);
+    EXPECT_EQ(std::memcmp(got3.data(), got2.data(), bytes), 0);
+  }
+  std::filesystem::remove(v2);
+  std::filesystem::remove(v3);
 }
 
 TEST(Serialize, GarbageFileIsStatusNotCrash) {

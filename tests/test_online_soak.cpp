@@ -28,6 +28,7 @@
 #include "serve/online_loop.hpp"
 #include "simulator/fault_injector.hpp"
 #include "simulator/season.hpp"
+#include "test_support.hpp"
 
 namespace {
 
@@ -99,8 +100,8 @@ struct ScenarioResult {
 /// seeded and time is a scripted counter, so two runs with the same
 /// `engine_threads` — or different ones — must produce identical traces.
 ScenarioResult run_scenario(std::size_t engine_threads) {
-  const std::string dir =
-      "/tmp/ranknet_online_soak_t" + std::to_string(engine_threads);
+  const std::string dir = test_support::unique_temp_path(
+      "online_soak_t" + std::to_string(engine_threads));
   std::filesystem::create_directories(dir);
 
   const auto before = CounterDeltas::snapshot();

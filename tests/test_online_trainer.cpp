@@ -24,6 +24,7 @@
 #include "serve/model_registry.hpp"
 #include "serve/online_loop.hpp"
 #include "simulator/season.hpp"
+#include "test_support.hpp"
 #include "util/string_util.hpp"
 
 namespace {
@@ -293,7 +294,8 @@ struct TrainerRig {
     cfg.train_window = 1;
     cfg.probe_window = 1;
     cfg.probe = small_probe();
-    cfg.artifact_dir = "/tmp";
+    cfg.artifact_dir = test_support::unique_temp_path("trainer_artifacts");
+    std::filesystem::create_directories(cfg.artifact_dir);
     trainer = std::make_unique<core::OnlineTrainer>(
         cfg, replay, fake_fitter(world), target,
         [w = world] { return w->active; });
@@ -419,7 +421,7 @@ TEST(OnlineTrainer, AsyncWorkerTraceMatchesSyncTrace) {
 }
 
 // ---------------------------------------------------------------------------
-// v3 artifact parser fuzz on trainer-emitted artifacts
+// v3 artifact parser fuzz
 // ---------------------------------------------------------------------------
 
 std::vector<char> read_file(const std::string& path) {
@@ -432,14 +434,13 @@ void write_file(const std::string& path, const std::vector<char>& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-/// Emit a genuine trainer artifact: the affine fitter's v3 output with a
-/// real calibration section.
-std::string emit_trainer_artifact(const std::string& path) {
-  auto fitter = serve::make_affine_fitter();
-  const auto window = make_window(2);
-  auto fitted = fitter(window, 1, path);
-  EXPECT_TRUE(fitted.ok());
-  return path;
+/// A v3 affine artifact with one calibration entry named "affine". Its
+/// layout is fixed: the last 30 payload bytes are that entry (name length
+/// 8 + "affine" 6 + absmax 8 + zero point 8), preceded by the u64 entry
+/// count.
+void emit_v3_artifact(const std::string& path) {
+  serve::AffineRankModel model(0.95, 0.5);
+  test_support::write_v3_artifact(path, model.params(), {{"affine", 33.0}});
 }
 
 /// Assert that loading `path` fails and leaves the model's coefficients
@@ -454,9 +455,9 @@ void expect_rejected_without_half_install(const std::string& path,
 }
 
 TEST(V3ArtifactFuzz, EveryTruncationIsRejectedWithoutHalfInstall) {
-  const std::string good = "/tmp/ranknet_v3_fuzz_base.bin";
-  const std::string cut = "/tmp/ranknet_v3_fuzz_trunc.bin";
-  emit_trainer_artifact(good);
+  const std::string good = test_support::unique_temp_path("v3_fuzz_base.bin");
+  const std::string cut = test_support::unique_temp_path("v3_fuzz_trunc.bin");
+  emit_v3_artifact(good);
   const auto clean = read_file(good);
   ASSERT_GT(clean.size(), 40u);
   for (std::size_t keep = 0; keep < clean.size(); ++keep) {
@@ -471,9 +472,9 @@ TEST(V3ArtifactFuzz, EveryTruncationIsRejectedWithoutHalfInstall) {
 }
 
 TEST(V3ArtifactFuzz, RandomBitFlipsAreRejectedWithoutHalfInstall) {
-  const std::string good = "/tmp/ranknet_v3_fuzz_base2.bin";
-  const std::string flip = "/tmp/ranknet_v3_fuzz_flip.bin";
-  emit_trainer_artifact(good);
+  const std::string good = test_support::unique_temp_path("v3_fuzz_base2.bin");
+  const std::string flip = test_support::unique_temp_path("v3_fuzz_flip.bin");
+  emit_v3_artifact(good);
   const auto clean = read_file(good);
   util::Rng rng(0xf11b);
   for (int iter = 0; iter < 256; ++iter) {
@@ -511,9 +512,9 @@ void rewrite_payload(const std::string& path, std::vector<char> payload) {
 }
 
 TEST(V3ArtifactFuzz, RegeneratedChecksumAdversariesAreStillRejected) {
-  const std::string good = "/tmp/ranknet_v3_fuzz_base3.bin";
-  const std::string adv = "/tmp/ranknet_v3_fuzz_adv.bin";
-  emit_trainer_artifact(good);
+  const std::string good = test_support::unique_temp_path("v3_fuzz_base3.bin");
+  const std::string adv = test_support::unique_temp_path("v3_fuzz_adv.bin");
+  emit_v3_artifact(good);
   const auto file = read_file(good);
   const std::vector<char> payload(file.begin() + 28, file.end());
 
@@ -531,10 +532,8 @@ TEST(V3ArtifactFuzz, RegeneratedChecksumAdversariesAreStillRejected) {
   // trailing garbage — strict tail parsing must refuse.
   {
     auto p = payload;
-    // Payload layout here: count(8) name(8+6) matrix(rows 8 + cols 8 +
-    // 2*8 data) then calibration count. Locate the calibration count by
-    // searching from the end: entry = name len(8) + "affine"(6) + absmax(8)
-    // + zero(8) = 30 bytes, count sits 8 bytes before it.
+    // The calibration count sits 8 bytes before the 30-byte entry (see
+    // emit_v3_artifact).
     const std::size_t calib_count_at = p.size() - 30 - 8;
     std::uint64_t zero = 0;
     std::memcpy(p.data() + calib_count_at, &zero, sizeof(zero));
@@ -542,7 +541,7 @@ TEST(V3ArtifactFuzz, RegeneratedChecksumAdversariesAreStillRejected) {
     rewrite_payload(adv, p);
     expect_rejected_without_half_install(adv, "shrunk calibration count");
   }
-  // (c) nonzero int8 zero point: symmetric-only runtime must refuse.
+  // (c) nonzero zero point: the v3 writer only emitted symmetric entries.
   {
     auto p = payload;
     double zp = 1.0;
@@ -576,12 +575,14 @@ TEST(V3ArtifactFuzz, RegistrySwapStaysAtomicUnderCorruptArtifacts) {
         return std::shared_ptr<core::RaceForecaster>(std::move(model));
       },
       cfg);
-  const std::string good = "/tmp/ranknet_v3_fuzz_reg_good.bin";
-  const std::string cand = "/tmp/ranknet_v3_fuzz_reg_cand.bin";
+  const std::string good =
+      test_support::unique_temp_path("v3_fuzz_reg_good.bin");
+  const std::string cand =
+      test_support::unique_temp_path("v3_fuzz_reg_cand.bin");
   serve::AffineRankModel::save_artifact(good, 1.0, 0.0);
   ASSERT_TRUE(registry.init(good).ok());
 
-  emit_trainer_artifact(cand);
+  emit_v3_artifact(cand);
   const auto clean = read_file(cand);
   util::Rng rng(0xabad);
   for (int iter = 0; iter < 32; ++iter) {
@@ -600,8 +601,8 @@ TEST(V3ArtifactFuzz, RegistrySwapStaysAtomicUnderCorruptArtifacts) {
     EXPECT_EQ(registry.active_version(), 1u)
         << "corrupt candidate disturbed the active model";
   }
-  // The intact trainer artifact promotes: the registry factory accepts the
-  // v3 calibration section end to end.
+  // The intact v3 artifact promotes: the registry factory accepts the v3
+  // calibration section end to end.
   write_file(cand, clean);
   EXPECT_EQ(registry.swap(cand).action, serve::wire::SwapAction::kPromoted);
 }
@@ -622,8 +623,8 @@ TEST(RollbackProperty, RegistryRollbackAlwaysRestoresPriorChampionBytes) {
         return std::shared_ptr<core::RaceForecaster>(std::move(model));
       },
       cfg);
-  const std::string a = "/tmp/ranknet_rb_prop_a.bin";
-  const std::string b = "/tmp/ranknet_rb_prop_b.bin";
+  const std::string a = test_support::unique_temp_path("rb_prop_a.bin");
+  const std::string b = test_support::unique_temp_path("rb_prop_b.bin");
 
   auto serve_bytes = [&] {
     auto model = registry.active();
@@ -712,7 +713,7 @@ TEST(IncrementalLstm, RefitReducesNllDeterministically) {
   EXPECT_EQ(s1.nll_after, s2.nll_after);
 }
 
-TEST(IncrementalLstm, FitterEmitsLoadableV3ArtifactAndLeavesBaseUntouched) {
+TEST(IncrementalLstm, FitterEmitsLoadableV2ArtifactAndLeavesBaseUntouched) {
   std::vector<telemetry::RaceLog> races;
   races.push_back(sim::simulate_race({"Indy500", 2016, 40, sim::Usage::kTest}));
   races.push_back(sim::simulate_race({"Indy500", 2017, 40, sim::Usage::kTest}));
@@ -747,13 +748,18 @@ TEST(IncrementalLstm, FitterEmitsLoadableV3ArtifactAndLeavesBaseUntouched) {
   for (const auto& r : races) {
     window.push_back(std::make_shared<const telemetry::RaceLog>(r));
   }
-  const std::string path = "/tmp/ranknet_incr_lstm.bin";
+  const std::string path = test_support::unique_temp_path("incr_lstm.bin");
   auto fitted = fitter(window, 5, path);
   ASSERT_TRUE(fitted.ok()) << fitted.status().to_string();
   EXPECT_NE(fitted.value().forecaster, nullptr);
   EXPECT_FALSE(fitted.value().summary.empty());
 
-  // The emitted artifact loads back into a same-shape model.
+  // The emitted artifact is v2 and loads back into a same-shape model.
+  const auto bytes = read_file(path);
+  ASSERT_GE(bytes.size(), 12u);
+  std::uint32_t version = 0;
+  std::memcpy(&version, bytes.data() + 8, sizeof(version));
+  EXPECT_EQ(version, 2u);
   core::LstmSeqModel reloaded(mcfg);
   EXPECT_TRUE(nn::try_load_params(path, reloaded.params()).ok());
 
@@ -770,7 +776,8 @@ TEST(IncrementalLstm, FitterEmitsLoadableV3ArtifactAndLeavesBaseUntouched) {
   }
 
   // Determinism: the same window + seed re-fits to the same summary.
-  auto fitted2 = fitter(window, 5, "/tmp/ranknet_incr_lstm2.bin");
+  auto fitted2 =
+      fitter(window, 5, test_support::unique_temp_path("incr_lstm2.bin"));
   ASSERT_TRUE(fitted2.ok());
   EXPECT_EQ(fitted.value().summary, fitted2.value().summary);
 }

@@ -25,6 +25,7 @@
 #include "serve/wire.hpp"
 #include "simulator/fault_injector.hpp"
 #include "simulator/season.hpp"
+#include "test_support.hpp"
 #include "util/socket.hpp"
 
 namespace {
@@ -103,11 +104,12 @@ class ServeTest : public ::testing::Test {
     return req;
   }
 
-  static constexpr const char* kIdentityArtifact =
-      "/tmp/ranknet_serve_identity.bin";
-  static constexpr const char* kScaledArtifact =
-      "/tmp/ranknet_serve_scaled.bin";
-  static constexpr const char* kNanArtifact = "/tmp/ranknet_serve_nan.bin";
+  static inline const std::string kIdentityArtifact =
+      test_support::unique_temp_path("serve_identity.bin");
+  static inline const std::string kScaledArtifact =
+      test_support::unique_temp_path("serve_scaled.bin");
+  static inline const std::string kNanArtifact =
+      test_support::unique_temp_path("serve_nan.bin");
 
   static telemetry::RaceLog* race_;
   std::unique_ptr<serve::ModelRegistry> registry_;
@@ -265,14 +267,16 @@ TEST(AffineRankModel, IdentityCoefficientsReproduceCurRank) {
 }
 
 TEST(AffineRankModel, ArtifactRoundtripAndStagedCommitOnCorruption) {
-  const std::string path = "/tmp/ranknet_affine_rt.bin";
+  const std::string path = test_support::unique_temp_path("affine_rt.bin");
   serve::AffineRankModel::save_artifact(path, 1.5, -2.0);
   serve::AffineRankModel model(1.0, 0.0);
   ASSERT_TRUE(model.load_artifact(path).ok());
   EXPECT_DOUBLE_EQ(model.scale(), 1.5);
   EXPECT_DOUBLE_EQ(model.offset(), -2.0);
   // Corrupt load leaves the previous coefficients untouched.
-  EXPECT_FALSE(model.load_artifact("/tmp/ranknet_affine_missing.bin").ok());
+  EXPECT_FALSE(
+      model.load_artifact(test_support::unique_temp_path("affine_missing.bin"))
+          .ok());
   EXPECT_DOUBLE_EQ(model.scale(), 1.5);
   EXPECT_DOUBLE_EQ(model.offset(), -2.0);
 }
@@ -281,7 +285,7 @@ TEST(AffineRankModel, ArtifactRoundtripAndStagedCommitOnCorruption) {
 
 TEST_F(ServeTest, ForecastOverSocketThenByteIdenticalCacheHit) {
   serve::ServerConfig cfg;
-  cfg.socket_path = "/tmp/ranknet_serve_e2e.sock";
+  cfg.socket_path = test_support::unique_temp_path("serve_e2e.sock");
   boot(cfg);
   serve::ForecastClient client(client_config());
 
@@ -311,7 +315,7 @@ TEST_F(ServeTest, ForecastOverSocketThenByteIdenticalCacheHit) {
 
 TEST_F(ServeTest, LoadRaceOverWireAndUnknownRaceIsExplicitRejection) {
   serve::ServerConfig cfg;
-  cfg.socket_path = "/tmp/ranknet_serve_load.sock";
+  cfg.socket_path = test_support::unique_temp_path("serve_load.sock");
   boot(cfg);
   serve::ForecastClient client(client_config());
 
@@ -335,7 +339,7 @@ TEST_F(ServeTest, LoadRaceOverWireAndUnknownRaceIsExplicitRejection) {
 
 TEST_F(ServeTest, PipelinedDuplicateRequestsGetIdenticalAnswers) {
   serve::ServerConfig cfg;
-  cfg.socket_path = "/tmp/ranknet_serve_batch.sock";
+  cfg.socket_path = test_support::unique_temp_path("serve_batch.sock");
   boot(cfg);
 
   // Raw pipelining: 6 identical-seed + 2 distinct requests written
@@ -388,7 +392,7 @@ TEST_F(ServeTest, PipelinedDuplicateRequestsGetIdenticalAnswers) {
 
 TEST_F(ServeTest, OverloadShedsExplicitlyAndMonotonically) {
   serve::ServerConfig cfg;
-  cfg.socket_path = "/tmp/ranknet_serve_shed.sock";
+  cfg.socket_path = test_support::unique_temp_path("serve_shed.sock");
   cfg.queue_capacity = 4;
   cfg.overload_watermark = 2;
   cfg.batch_max = 2;
@@ -448,7 +452,7 @@ TEST_F(ServeTest, OverloadShedsExplicitlyAndMonotonically) {
 
 TEST_F(ServeTest, DeadlineExpiredInQueueIsExplicitRejection) {
   serve::ServerConfig cfg;
-  cfg.socket_path = "/tmp/ranknet_serve_deadline.sock";
+  cfg.socket_path = test_support::unique_temp_path("serve_deadline.sock");
   boot(cfg, {}, /*partition_delay_us=*/5000);  // ~45ms per cold forecast
 
   auto stream = util::UnixStream::connect(socket_path_, 1.0);
@@ -493,7 +497,7 @@ TEST_F(ServeTest, DeadlineExpiredInQueueIsExplicitRejection) {
 
 TEST_F(ServeTest, CorruptFrameIsSkippedAndConnectionSurvives) {
   serve::ServerConfig cfg;
-  cfg.socket_path = "/tmp/ranknet_serve_corrupt.sock";
+  cfg.socket_path = test_support::unique_temp_path("serve_corrupt.sock");
   boot(cfg);
   const auto skipped_before = counter_value("serve.frames.corrupt_skipped");
 
@@ -529,7 +533,7 @@ TEST_F(ServeTest, CorruptFrameIsSkippedAndConnectionSurvives) {
 
 TEST_F(ServeTest, BadMagicDropsConnectionButServerKeepsServing) {
   serve::ServerConfig cfg;
-  cfg.socket_path = "/tmp/ranknet_serve_magic.sock";
+  cfg.socket_path = test_support::unique_temp_path("serve_magic.sock");
   boot(cfg);
 
   auto garbage_conn = util::UnixStream::connect(socket_path_, 1.0);
@@ -550,7 +554,7 @@ TEST_F(ServeTest, BadMagicDropsConnectionButServerKeepsServing) {
 
 TEST_F(ServeTest, StalledClientHoldingPartialFrameIsDropped) {
   serve::ServerConfig cfg;
-  cfg.socket_path = "/tmp/ranknet_serve_stall.sock";
+  cfg.socket_path = test_support::unique_temp_path("serve_stall.sock");
   cfg.slow_client_timeout_seconds = 0.05;
   boot(cfg);
   const auto dropped_before = counter_value("serve.conn.slow_dropped");
@@ -575,7 +579,7 @@ TEST_F(ServeTest, StalledClientHoldingPartialFrameIsDropped) {
 
 TEST_F(ServeTest, ClientRetriesThroughDroppedAndCorruptedFrames) {
   serve::ServerConfig cfg;
-  cfg.socket_path = "/tmp/ranknet_serve_retry.sock";
+  cfg.socket_path = test_support::unique_temp_path("serve_retry.sock");
   boot(cfg);
 
   auto client_cfg = client_config();
@@ -610,7 +614,7 @@ TEST_F(ServeTest, ClientRetriesThroughDroppedAndCorruptedFrames) {
 
 TEST_F(ServeTest, HotSwapPromotesServesNewBitsAndRejectsCorruptCandidate) {
   serve::ServerConfig cfg;
-  cfg.socket_path = "/tmp/ranknet_serve_swap.sock";
+  cfg.socket_path = test_support::unique_temp_path("serve_swap.sock");
   boot(cfg);
   serve::ForecastClient client(client_config());
 
@@ -631,7 +635,8 @@ TEST_F(ServeTest, HotSwapPromotesServesNewBitsAndRejectsCorruptCandidate) {
   EXPECT_FALSE(cars_identical(after.value().cars, before.value().cars));
 
   // A corrupt candidate is rejected mid-flight and v2 keeps serving.
-  const std::string corrupt_path = "/tmp/ranknet_serve_corrupt_cand.bin";
+  const std::string corrupt_path =
+      test_support::unique_temp_path("serve_corrupt_cand.bin");
   serve::AffineRankModel::save_artifact(corrupt_path, 5.0, 5.0);
   {
     std::FILE* f = std::fopen(corrupt_path.c_str(), "r+b");
@@ -652,7 +657,7 @@ TEST_F(ServeTest, HotSwapPromotesServesNewBitsAndRejectsCorruptCandidate) {
 
 TEST_F(ServeTest, BadModelSlippingThroughGateIsAutoRolledBackUnderTraffic) {
   serve::ServerConfig cfg;
-  cfg.socket_path = "/tmp/ranknet_serve_rollback.sock";
+  cfg.socket_path = test_support::unique_temp_path("serve_rollback.sock");
   serve::RegistryConfig reg_cfg;
   reg_cfg.gate.max_prediction_failure_rate = 1.0;  // gate off: probation's job
   boot(cfg, reg_cfg);
@@ -683,7 +688,7 @@ TEST_F(ServeTest, BadModelSlippingThroughGateIsAutoRolledBackUnderTraffic) {
 
 TEST_F(ServeTest, ShutdownFrameStopsTheServerCleanly) {
   serve::ServerConfig cfg;
-  cfg.socket_path = "/tmp/ranknet_serve_shutdown.sock";
+  cfg.socket_path = test_support::unique_temp_path("serve_shutdown.sock");
   boot(cfg);
   serve::ForecastClient client(client_config());
   ASSERT_TRUE(client.forecast(make_request(1, 1)).ok());
@@ -696,7 +701,7 @@ TEST_F(ServeTest, EngineThreadsServeIdenticalBytesToInline) {
   // Same request through a threads=2 registry and a threads=0 registry:
   // the engine's determinism contract must survive the serving stack.
   serve::ServerConfig cfg;
-  cfg.socket_path = "/tmp/ranknet_serve_threads.sock";
+  cfg.socket_path = test_support::unique_temp_path("serve_threads.sock");
   serve::RegistryConfig reg_cfg;
   reg_cfg.engine_threads = 2;
   boot(cfg, reg_cfg);
@@ -707,7 +712,7 @@ TEST_F(ServeTest, EngineThreadsServeIdenticalBytesToInline) {
   server_->stop();
 
   serve::ServerConfig cfg2;
-  cfg2.socket_path = "/tmp/ranknet_serve_threads0.sock";
+  cfg2.socket_path = test_support::unique_temp_path("serve_threads0.sock");
   boot(cfg2);
   serve::ForecastClient inline_client(client_config());
   auto inline_res = inline_client.forecast(make_request(2, 33));
@@ -760,7 +765,7 @@ TEST_F(ServeTest, ShardedServingBytesMatchSingleShard) {
   // single-shard layout must be byte-identical: routing is load placement,
   // never math.
   serve::ServerConfig cfg;
-  cfg.socket_path = "/tmp/ranknet_serve_shards4.sock";
+  cfg.socket_path = test_support::unique_temp_path("serve_shards4.sock");
   serve::RegistryConfig reg_cfg;
   reg_cfg.shards = 4;
   boot(cfg, reg_cfg);
@@ -771,7 +776,7 @@ TEST_F(ServeTest, ShardedServingBytesMatchSingleShard) {
   server_->stop();
 
   serve::ServerConfig cfg1;
-  cfg1.socket_path = "/tmp/ranknet_serve_shards1.sock";
+  cfg1.socket_path = test_support::unique_temp_path("serve_shards1.sock");
   boot(cfg1);  // default RegistryConfig: shards = 1
   serve::ForecastClient single_client(client_config());
   auto single = single_client.forecast(make_request(2, 55));
@@ -787,7 +792,7 @@ TEST_F(ServeTest, AddRaceUnderLoadNeverBlocksOrDropsServing) {
   // two races across client threads WHILE a loader thread hammers
   // add_race, and requires every single request answered healthily.
   serve::ServerConfig cfg;
-  cfg.socket_path = "/tmp/ranknet_serve_contention.sock";
+  cfg.socket_path = test_support::unique_temp_path("serve_contention.sock");
   cfg.queue_capacity = 256;
   cfg.overload_watermark = 240;
   serve::RegistryConfig reg_cfg;
