@@ -43,9 +43,12 @@ std::vector<double> rollout_with_plan(
 
   // Prime the LSTM on the true history, then sample forward under the plan.
   const auto trace =
-      model.trace({car.rank}, {covs}, {bundle.vocab.index(car_id)});
-  auto state = core::LstmSeqModel::replicate_state(
-      trace[o - 2], 0, static_cast<std::size_t>(samples));
+      model.trace_flat(car.rank, covs, bundle.vocab.index(car_id));
+  const std::size_t step = model.trace_step_size();
+  const std::vector<std::span<const double>> start(
+      static_cast<std::size_t>(samples),
+      std::span<const double>(trace).subspan((o - 2) * step, step));
+  auto state = model.state_from_trace(start);
   std::vector<std::vector<double>> z(static_cast<std::size_t>(samples),
                                      {car.rank[o - 1]});
   std::vector<std::vector<std::vector<double>>> future(

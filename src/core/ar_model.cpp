@@ -236,21 +236,21 @@ double LstmSeqModel::evaluate(const Batch& batch) {
   return nn::GaussianHead::nll(out, batch.z_dec, batch.weights);
 }
 
-std::vector<LstmSeqModel::StackState> LstmSeqModel::trace(
-    const std::vector<std::vector<double>>& history,
-    const std::vector<std::vector<std::vector<double>>>& covs,
-    const std::vector<int>& car_index) const {
+void LstmSeqModel::run_trace(
+    std::span<const std::vector<double>> history,
+    std::span<const std::vector<std::vector<double>>> covs,
+    std::span<const int> car_index,
+    const std::function<void(std::span<const nn::LstmInferenceSession>)>&
+        store) const {
   const std::size_t rows = history.size();
-  if (rows == 0) return {};
+  if (rows == 0) return;
   const std::size_t laps = history[0].size();
   for (const auto& h : history) {
     if (h.size() != laps) {
       throw std::invalid_argument("trace: ragged history");
     }
   }
-  std::vector<StackState> out;
-  if (laps < 2) return out;
-  out.reserve(laps - 1);
+  if (laps < 2) return;
 
   auto& ws = tensor::Workspace::thread_local_instance();
   ws.begin();
@@ -264,7 +264,6 @@ std::vector<LstmSeqModel::StackState> LstmSeqModel::trace(
   }
 
   const std::size_t td = config_.target_dim;
-  StackState cur(layers_.size());
   for (std::size_t t = 0; t + 1 < laps; ++t) {
     for (std::size_t r = 0; r < rows; ++r) {
       // Multivariate targets carry their aux dims in leading covariates
@@ -286,52 +285,63 @@ std::vector<LstmSeqModel::StackState> LstmSeqModel::trace(
       }
     }
     run_stack_step(stack);
-    for (std::size_t l = 0; l < stack.size(); ++l) {
-      stack[l].store_state(cur[l]);
-    }
-    out.push_back(cur);
+    store(stack);
   }
+}
+
+std::vector<LstmSeqModel::StackState> LstmSeqModel::trace(
+    const std::vector<std::vector<double>>& history,
+    const std::vector<std::vector<std::vector<double>>>& covs,
+    const std::vector<int>& car_index) const {
+  std::vector<StackState> out;
+  if (!history.empty() && history[0].size() > 1) {
+    out.reserve(history[0].size() - 1);
+  }
+  run_trace(history, covs, car_index,
+            [&](std::span<const nn::LstmInferenceSession> stack) {
+              StackState& cur = out.emplace_back(stack.size());
+              for (std::size_t l = 0; l < stack.size(); ++l) {
+                stack[l].store_state(cur[l]);
+              }
+            });
   return out;
 }
 
-LstmSeqModel::StackState LstmSeqModel::replicate_state(const StackState& state,
-                                                       std::size_t row,
-                                                       std::size_t copies) {
-  StackState out(state.size());
-  for (std::size_t l = 0; l < state.size(); ++l) {
-    const std::size_t hidden = state[l].h.cols();
-    out[l] = nn::LstmState(copies, hidden);
-    for (std::size_t r = 0; r < copies; ++r) {
-      for (std::size_t c = 0; c < hidden; ++c) {
-        out[l].h(r, c) = state[l].h(row, c);
-        out[l].c(r, c) = state[l].c(row, c);
-      }
-    }
+std::vector<double> LstmSeqModel::trace_flat(
+    const std::vector<double>& history,
+    const std::vector<std::vector<double>>& covs, int car_index) const {
+  std::vector<double> out;
+  if (history.size() > 1) {
+    out.reserve((history.size() - 1) * trace_step_size());
   }
+  run_trace({&history, 1}, {&covs, 1}, {&car_index, 1},
+            [&](std::span<const nn::LstmInferenceSession> stack) {
+              for (const auto& layer : stack) {
+                const auto h = layer.h(), c = layer.c();
+                out.insert(out.end(), h.data(), h.data() + h.size());
+                out.insert(out.end(), c.data(), c.data() + c.size());
+              }
+            });
   return out;
 }
 
-LstmSeqModel::StackState LstmSeqModel::concat_states(
-    const std::vector<StackState>& states) {
-  if (states.empty()) return {};
-  const std::size_t layers = states[0].size();
-  StackState out(layers);
-  for (std::size_t l = 0; l < layers; ++l) {
-    std::size_t rows = 0;
-    const std::size_t hidden = states[0][l].h.cols();
-    for (const auto& s : states) rows += s[l].h.rows();
-    out[l] = nn::LstmState(rows, hidden);
-    std::size_t r0 = 0;
-    for (const auto& s : states) {
-      for (std::size_t r = 0; r < s[l].h.rows(); ++r, ++r0) {
-        for (std::size_t c = 0; c < hidden; ++c) {
-          out[l].h(r0, c) = s[l].h(r, c);
-          out[l].c(r0, c) = s[l].c(r, c);
-        }
-      }
+LstmSeqModel::StackState LstmSeqModel::state_from_trace(
+    std::span<const std::span<const double>> steps) const {
+  const std::size_t hidden = config_.hidden;
+  StackState state(layers_.size());
+  for (auto& layer : state) layer = nn::LstmState(steps.size(), hidden);
+  for (std::size_t r = 0; r < steps.size(); ++r) {
+    if (steps[r].size() != trace_step_size()) {
+      throw std::invalid_argument("state_from_trace: not one trace step");
+    }
+    const double* src = steps[r].data();
+    for (auto& layer : state) {
+      std::copy(src, src + hidden, layer.h.data() + r * hidden);
+      std::copy(src + hidden, src + 2 * hidden, layer.c.data() + r * hidden);
+      src += 2 * hidden;
     }
   }
-  return out;
+  return state;
 }
 
 void LstmSeqModel::advance(StackState& state,

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -22,6 +23,10 @@
 #include "nn/gaussian.hpp"
 #include "nn/lstm.hpp"
 #include "util/rng.hpp"
+
+namespace ranknet::nn {
+class LstmInferenceSession;
+}  // namespace ranknet::nn
 
 namespace ranknet::core {
 
@@ -100,11 +105,24 @@ class LstmSeqModel : public nn::Layer {
       const std::vector<std::vector<std::vector<double>>>& covs,
       const std::vector<int>& car_index) const;
 
-  /// Select one row of a traced state and replicate it `copies` times.
-  static StackState replicate_state(const StackState& state, std::size_t row,
-                                    std::size_t copies);
-  /// Concatenate states row-wise (used to batch all cars together).
-  static StackState concat_states(const std::vector<StackState>& states);
+  /// trace() of one sequence in one flat buffer: step t (the state
+  /// trace()[t] holds) is the slice of trace_step_size() doubles at
+  /// t * trace_step_size(), laid out layer by layer, h then c, `hidden`
+  /// values each. Bit-identical to trace(); one heap block per sequence
+  /// instead of one StackState per lap.
+  std::vector<double> trace_flat(
+      const std::vector<double>& history,
+      const std::vector<std::vector<double>>& covs, int car_index) const;
+  std::size_t trace_step_size() const {
+    return config_.num_layers * 2 * config_.hidden;
+  }
+
+  /// Decode start state with one row per entry of `steps`, each a flat
+  /// trace step (trace_step_size() doubles). A step may appear several
+  /// times (one row per MC sample). Plain copies, so every row holds the
+  /// traced state bit for bit.
+  StackState state_from_trace(
+      std::span<const std::span<const double>> steps) const;
 
   /// One teacher-forced step: consume [z_prev, cov] for each row and update
   /// `state` in place (no sampling). Used to re-run the last encoder laps
@@ -167,6 +185,15 @@ class LstmSeqModel : public nn::Layer {
   std::vector<nn::Parameter*> params() override;
 
  private:
+  /// The encoder loop behind trace() and trace_flat(): after each step it
+  /// hands the per-layer sessions, holding the new state, to `store`.
+  void run_trace(
+      std::span<const std::vector<double>> history,
+      std::span<const std::vector<std::vector<double>>> covs,
+      std::span<const int> car_index,
+      const std::function<void(std::span<const nn::LstmInferenceSession>)>&
+          store) const;
+
   /// Shared decode loop over the zero-allocation inference runtime. Exactly
   /// one of (rng, row_rngs) supplies the Gaussian noise: rng != nullptr
   /// draws row-major from the single stream, otherwise row r draws from

@@ -50,8 +50,12 @@ class RaceForecaster {
 ///    util::Rng::stream keyed by stable ids (car id, sample index), never
 ///    from shared mutable generator state. Per-car output must be
 ///    byte-identical for any car subset containing that car.
+///  * Work that every partition of one forecast needs (RankNet's coupled
+///    PitModel status realization) may be done once per forecast key and
+///    shared, provided its bytes do not depend on which partition does it.
 ///  * After `prepare(race)` has run, `forecast_partition` must be safe to
-///    call concurrently from multiple threads (read-only on caches).
+///    call concurrently from multiple threads: read-only on the per-race
+///    caches, and any per-forecast shared state filled once under a lock.
 class PartitionableForecaster {
  public:
   virtual ~PartitionableForecaster() = default;

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "features/scaler.hpp"
+#include "features/transforms.hpp"
 #include "nn/dense.hpp"
 #include "nn/gaussian.hpp"
 #include "nn/inference.hpp"
@@ -34,11 +35,9 @@ struct PitModelConfig {
   std::string cache_key() const;
 };
 
-/// One PitModel training/inference input row.
-struct PitFeatures {
-  double caution_laps = 0.0;  // caution laps since the last pit
-  double pit_age = 0.0;       // laps since the last pit
-};
+/// One PitModel training/inference input row: the age-feature state
+/// (caution laps and laps since the last pit) at the current lap.
+using PitFeatures = features::AgeState;
 
 class PitModel : public nn::Layer {
  public:

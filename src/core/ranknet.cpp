@@ -48,12 +48,37 @@ RankNetForecaster::RankNetForecaster(
   }
 }
 
+RaceShape RaceShape::of(const telemetry::RaceLog& race) {
+  return {race.car_ids().size(), race.num_records()};
+}
+
+namespace {
+
+/// Forecast contexts a RankNetForecaster keeps.
+constexpr std::size_t kContextSlots = 4;
+
+/// Cars whose log reaches the forecast origin (their trace then has a state
+/// at the origin), ascending.
+template <typename RaceCache>
+std::vector<int> active_cars(const RaceCache& rc, int origin_lap) {
+  std::vector<int> cars;
+  for (const auto& [car_id, cc] : rc.cars) {
+    if (cc.history.size() >= static_cast<std::size_t>(origin_lap)) {
+      cars.push_back(car_id);
+    }
+  }
+  return cars;
+}
+
+}  // namespace
+
 const RankNetForecaster::RaceCache& RankNetForecaster::race_cache(
     const telemetry::RaceLog& race) {
-  auto it = cache_.find(race.id());
-  if (it != cache_.end()) return it->second;
+  if (const RaceCache* rc = find_cache(race)) return *rc;
 
   RaceCache rc;
+  rc.shape = RaceShape::of(race);
+  rc.generation = ++generations_;
   for (int car_id : race.car_ids()) {
     const auto& car = race.car(car_id);
     if (car.laps() < 3) continue;
@@ -61,35 +86,107 @@ const RankNetForecaster::RaceCache& RankNetForecaster::race_cache(
     cc.history = car.rank;
     cc.streams = features::StatusStreams::from_race(race, car_id);
     cc.covariates = features::build_covariates(cc.streams, cov_config_);
-    cc.trace = model_->trace({cc.history}, {cc.covariates},
-                             {vocab_.index(car_id)});
+    cc.trace = model_->trace_flat(cc.history, cc.covariates,
+                                  vocab_.index(car_id));
+    if (source_ == StatusSource::kPitModel) cc.covariates = {};
     rc.cars.emplace(car_id, std::move(cc));
   }
-  return cache_.emplace(race.id(), std::move(rc)).first->second;
+  return cache_.insert_or_assign(race.id(), std::move(rc)).first->second;
 }
 
 void RankNetForecaster::prepare(const telemetry::RaceLog& race) {
   race_cache(race);
 }
 
+void RankNetForecaster::clear_cache() {
+  cache_.clear();
+  std::lock_guard<std::mutex> lock(contexts_mutex_);
+  contexts_.clear();
+}
+
 const RankNetForecaster::RaceCache* RankNetForecaster::find_cache(
     const telemetry::RaceLog& race) const {
   const auto it = cache_.find(race.id());
-  return it == cache_.end() ? nullptr : &it->second;
+  return it == cache_.end() || it->second.shape != RaceShape::of(race)
+             ? nullptr
+             : &it->second;
 }
 
 std::vector<int> RankNetForecaster::forecast_cars(
     const telemetry::RaceLog& race, int origin_lap) {
-  const auto& rc = race_cache(race);
-  const auto origin = static_cast<std::size_t>(origin_lap);
-  // Cars with a trace entry at the forecast origin.
-  std::vector<int> cars;
-  for (const auto& [car_id, cc] : rc.cars) {
-    if (cc.history.size() >= origin && cc.trace.size() >= origin - 1) {
-      cars.push_back(car_id);
+  return active_cars(race_cache(race), origin_lap);
+}
+
+std::shared_ptr<const RankNetForecaster::ForecastContext>
+RankNetForecaster::forecast_context(const RaceCache& rc, int origin_lap,
+                                    int horizon, int num_samples,
+                                    std::uint64_t base, int tail) {
+  std::shared_ptr<ForecastContext> ctx;
+  {
+    std::lock_guard<std::mutex> lock(contexts_mutex_);
+    for (const auto& slot : contexts_) {
+      if (slot->generation == rc.generation && slot->origin == origin_lap &&
+          slot->horizon == horizon && slot->samples == num_samples &&
+          slot->base == base) {
+        ctx = slot;
+        break;
+      }
+    }
+    if (ctx == nullptr) {
+      ctx = std::make_shared<ForecastContext>();
+      ctx->generation = rc.generation;
+      ctx->origin = origin_lap;
+      ctx->horizon = horizon;
+      ctx->samples = num_samples;
+      ctx->base = base;
+      if (contexts_.size() == kContextSlots) contexts_.erase(contexts_.begin());
+      contexts_.push_back(ctx);
     }
   }
-  return cars;
+
+  std::lock_guard<std::mutex> fill(ctx->fill_mutex);
+  if (ctx->filled) return ctx;
+  const auto origin = static_cast<std::size_t>(origin_lap);
+  const auto h_count = static_cast<std::size_t>(horizon);
+  // Predicted status must cover the horizon plus the shift look-ahead; the
+  // decoder reads rows from the first replayed tail lap to the horizon.
+  const auto future_len =
+      h_count + static_cast<std::size_t>(cov_config_.shift);
+  const auto lo = origin - static_cast<std::size_t>(tail);
+  const auto window = static_cast<std::size_t>(tail) + h_count;
+
+  // The status realization couples every active car (LeaderPitCount sees
+  // the whole field), so it is drawn over the full car set whatever
+  // partition asks first.
+  ctx->cars = active_cars(rc, origin_lap);
+  // Rank order at the origin, for LeaderPitCount of future laps.
+  std::map<int, double> origin_rank;
+  std::map<int, const features::StatusStreams*> stream_ptrs;
+  for (int car_id : ctx->cars) {
+    origin_rank[car_id] = rc.cars.at(car_id).history[origin - 1];
+    stream_ptrs[car_id] = &rc.cars.at(car_id).streams;
+  }
+  ctx->rows.resize(static_cast<std::size_t>(num_samples) * ctx->cars.size() *
+                   window * cov_config_.dim());
+  double* dst = ctx->rows.data();
+  for (std::size_t s = 0; s < static_cast<std::size_t>(num_samples); ++s) {
+    // One coupled race-status realization across all cars, from a child
+    // stream keyed by the sample index alone (k2 = 0 keeps the status
+    // keys disjoint from the per-row keys, which use k2 >= 1).
+    util::Rng status_rng = util::Rng::stream(base, s, 0);
+    const auto realization =
+        sample_status_realization(stream_ptrs, origin_rank, *pit_model_,
+                                  cov_config_, origin, future_len, lo,
+                                  status_rng);
+    for (int car_id : ctx->cars) {
+      const auto& covs = realization.at(car_id);
+      for (std::size_t k = 0; k < window; ++k) {
+        dst = std::copy(covs[k].begin(), covs[k].end(), dst);
+      }
+    }
+  }
+  ctx->filled = true;
+  return ctx;
 }
 
 RaceSamples RankNetForecaster::forecast(const telemetry::RaceLog& race,
@@ -144,44 +241,49 @@ RaceSamples RankNetForecaster::forecast_partition(
       static_cast<std::size_t>(tail));
   for (auto& step : tail_z) step.resize(rows);
 
+  // A car's encoder state before the tail replay: its flat trace step
+  // after lap origin - tail - 1.
   const auto trace_idx = origin - 2 - static_cast<std::size_t>(tail);
+  const std::size_t step_size = model_->trace_step_size();
+  const auto trace_step = [&](int car_id) {
+    const auto& trace = rc.cars.at(car_id).trace;
+    if ((trace_idx + 1) * step_size > trace.size()) {
+      throw std::out_of_range("RankNetForecaster: car has no state at origin");
+    }
+    return std::span<const double>(trace).subspan(trace_idx * step_size,
+                                                  step_size);
+  };
 
   if (source_ == StatusSource::kPitModel) {
-    // Predicted status must cover the horizon plus the shift look-ahead.
-    const auto future_len =
-        h_count + static_cast<std::size_t>(cov_config_.shift);
-    // The status realization couples every active car (LeaderPitCount sees
-    // the whole field), so it is always drawn over the full car set — a
-    // partition holding a subset of cars replays the identical realization.
-    const auto all_cars = forecast_cars(race, origin_lap);
-    // Rank order at the origin, for LeaderPitCount of future laps.
-    std::map<int, double> origin_rank;
-    std::map<int, const features::StatusStreams*> stream_ptrs;
-    for (int car_id : all_cars) {
-      origin_rank[car_id] = rc.cars.at(car_id).history[origin - 1];
-      stream_ptrs[car_id] = &rc.cars.at(car_id).streams;
-    }
-    for (std::size_t s = 0; s < s_count; ++s) {
-      // One coupled race-status realization across all cars, from a child
-      // stream keyed by the sample index alone (k2 = 0 keeps the status
-      // keys disjoint from the per-row keys below, which use k2 >= 1).
-      util::Rng status_rng = util::Rng::stream(base, s, 0);
-      const auto realization = sample_status_realization(
-          stream_ptrs, origin_rank, *pit_model_, cov_config_, origin,
-          future_len, status_rng);
-
-      for (std::size_t c = 0; c < cars.size(); ++c) {
-        const int car_id = cars[c];
-        const auto& cc = rc.cars.at(car_id);
+    const auto ctx = forecast_context(rc, origin_lap, horizon, num_samples,
+                                      base, tail);
+    const std::size_t dim = cov_config_.dim();
+    const std::size_t window = static_cast<std::size_t>(tail) + h_count;
+    for (std::size_t c = 0; c < cars.size(); ++c) {
+      const int car_id = cars[c];
+      const auto& cc = rc.cars.at(car_id);
+      const auto it =
+          std::lower_bound(ctx->cars.begin(), ctx->cars.end(), car_id);
+      if (it == ctx->cars.end() || *it != car_id) {
+        throw std::out_of_range(
+            "RankNetForecaster: partition car not in forecast_cars");
+      }
+      const auto i = static_cast<std::size_t>(it - ctx->cars.begin());
+      for (std::size_t s = 0; s < s_count; ++s) {
         const std::size_t row = c * s_count + s;
-        const auto& covs = realization.at(car_id);
-
+        // Covariate row of lap (origin - tail + k + 1) for this car/sample.
+        const auto cov_row = [&](std::size_t k) {
+          const double* p =
+              ctx->rows.data() +
+              ((s * ctx->cars.size() + i) * window + k) * dim;
+          return std::vector<double>(p, p + dim);
+        };
         car_index[row] = vocab_.index(car_id);
         z_prev[row] = {cc.history[origin - 1]};
         auto& fc = future_covs[row];
         fc.resize(h_count);
         for (std::size_t h = 0; h < h_count; ++h) {
-          fc[h] = covs[origin + h];
+          fc[h] = cov_row(static_cast<std::size_t>(tail) + h);
         }
         for (int t = 0; t < tail; ++t) {
           // Tail step t replays lap (origin - tail + t): input is
@@ -189,7 +291,8 @@ RaceSamples RankNetForecaster::forecast_partition(
           const auto lap0 =
               origin - static_cast<std::size_t>(tail) + static_cast<std::size_t>(t);
           tail_z[static_cast<std::size_t>(t)][row] = {cc.history[lap0 - 1]};
-          tail_covs[static_cast<std::size_t>(t)][row] = covs[lap0];
+          tail_covs[static_cast<std::size_t>(t)][row] =
+              cov_row(static_cast<std::size_t>(t));
         }
       }
     }
@@ -302,8 +405,7 @@ RaceSamples RankNetForecaster::forecast_partition(
     // Branch-width start state + teacher-forced tail replay: the whole
     // shared prefix runs at branch width instead of row width.
     const std::size_t n_branches = branch_rep.size();
-    std::vector<LstmSeqModel::StackState> per_branch_states;
-    per_branch_states.reserve(n_branches);
+    std::vector<std::span<const double>> branch_steps(n_branches);
     std::vector<int> branch_car_index(n_branches);
     std::vector<std::vector<std::vector<double>>> btail_z(
         static_cast<std::size_t>(tail));
@@ -313,9 +415,7 @@ RaceSamples RankNetForecaster::forecast_partition(
     for (auto& step : btail_covs) step.resize(n_branches);
     for (std::size_t b = 0; b < n_branches; ++b) {
       const std::size_t row = branch_rep[b];
-      const auto& cc = rc.cars.at(cars[row / s_count]);
-      per_branch_states.push_back(
-          LstmSeqModel::replicate_state(cc.trace[trace_idx], 0, 1));
+      branch_steps[b] = trace_step(cars[row / s_count]);
       branch_car_index[b] = car_index[row];
       for (int t = 0; t < tail; ++t) {
         btail_z[static_cast<std::size_t>(t)][b] =
@@ -324,8 +424,7 @@ RaceSamples RankNetForecaster::forecast_partition(
             tail_covs[static_cast<std::size_t>(t)][row];
       }
     }
-    auto branch_state = LstmSeqModel::concat_states(per_branch_states);
-    per_branch_states.clear();
+    auto branch_state = model_->state_from_trace(branch_steps);
     for (int t = 0; t < tail; ++t) {
       model_->advance(branch_state, btail_z[static_cast<std::size_t>(t)],
                       btail_covs[static_cast<std::size_t>(t)],
@@ -341,15 +440,11 @@ RaceSamples RankNetForecaster::forecast_partition(
         (rows - n_branches) * (static_cast<std::size_t>(tail) + 1));
   } else {
     // ---- independent decode (historical path) -------------------------
-    std::vector<LstmSeqModel::StackState> per_car_states;
-    per_car_states.reserve(cars.size());
-    for (std::size_t c = 0; c < cars.size(); ++c) {
-      const auto& cc = rc.cars.at(cars[c]);
-      per_car_states.push_back(
-          LstmSeqModel::replicate_state(cc.trace[trace_idx], 0, s_count));
+    std::vector<std::span<const double>> row_steps(rows);
+    for (std::size_t row = 0; row < rows; ++row) {
+      row_steps[row] = trace_step(cars[row / s_count]);
     }
-    auto state = LstmSeqModel::concat_states(per_car_states);
-    per_car_states.clear();
+    auto state = model_->state_from_trace(row_steps);
 
     // Teacher-forced tail replay (PitModel mode only; tail == 0 otherwise).
     for (int t = 0; t < tail; ++t) {
@@ -396,19 +491,23 @@ TransformerForecaster::TransformerForecaster(
 
 const TransformerForecaster::RaceCache& TransformerForecaster::race_cache(
     const telemetry::RaceLog& race) {
+  const auto shape = RaceShape::of(race);
   auto it = cache_.find(race.id());
-  if (it != cache_.end()) return it->second;
+  if (it != cache_.end() && it->second.shape == shape) return it->second;
   RaceCache rc;
+  rc.shape = shape;
   for (int car_id : race.car_ids()) {
     const auto& car = race.car(car_id);
     if (car.laps() < 3) continue;
     CarCache cc;
     cc.history = car.rank;
     cc.streams = features::StatusStreams::from_race(race, car_id);
-    cc.covariates = features::build_covariates(cc.streams, cov_config_);
+    if (source_ != StatusSource::kPitModel) {
+      cc.covariates = features::build_covariates(cc.streams, cov_config_);
+    }
     rc.cars.emplace(car_id, std::move(cc));
   }
-  return cache_.emplace(race.id(), std::move(rc)).first->second;
+  return cache_.insert_or_assign(race.id(), std::move(rc)).first->second;
 }
 
 RaceSamples TransformerForecaster::forecast(const telemetry::RaceLog& race,
@@ -422,10 +521,7 @@ RaceSamples TransformerForecaster::forecast(const telemetry::RaceLog& race,
   const auto h_count = static_cast<std::size_t>(horizon);
   const auto s_count = static_cast<std::size_t>(num_samples);
 
-  std::vector<int> cars;
-  for (const auto& [car_id, cc] : rc.cars) {
-    if (cc.history.size() >= origin) cars.push_back(car_id);
-  }
+  const std::vector<int> cars = active_cars(rc, origin_lap);
   if (cars.empty()) return {};
 
   const std::size_t ctx =
@@ -437,8 +533,10 @@ RaceSamples TransformerForecaster::forecast(const telemetry::RaceLog& race,
   std::vector<std::vector<double>> history(rows);
   std::vector<std::vector<std::vector<double>>> covs(rows);
 
+  // cov_rows[k] is the covariate row of 0-based lap first_row + k.
   const auto fill_row = [&](std::size_t row, int car_id,
-                            const std::vector<std::vector<double>>& full_covs,
+                            const std::vector<std::vector<double>>& cov_rows,
+                            std::size_t first_row,
                             const std::vector<double>& ranks) {
     car_index[row] = vocab_.index(car_id);
     history[row].assign(ranks.begin() + static_cast<std::ptrdiff_t>(first_lap),
@@ -446,9 +544,9 @@ RaceSamples TransformerForecaster::forecast(const telemetry::RaceLog& race,
     auto& cv = covs[row];
     cv.resize(ctx + h_count);
     for (std::size_t t = 0; t < ctx + h_count; ++t) {
-      const std::size_t idx = first_lap + t;
-      cv[t] = idx < full_covs.size()
-                  ? full_covs[idx]
+      const std::size_t k = first_lap + t - first_row;
+      cv[t] = k < cov_rows.size()
+                  ? cov_rows[k]
                   : std::vector<double>(cov_config_.dim(), 0.0);
     }
   };
@@ -463,11 +561,13 @@ RaceSamples TransformerForecaster::forecast(const telemetry::RaceLog& race,
       stream_ptrs[car_id] = &rc.cars.at(car_id).streams;
     }
     for (std::size_t s = 0; s < s_count; ++s) {
+      // Only the context window and the horizon are read: the realization
+      // starts at the first context lap.
       const auto realization = sample_status_realization(
           stream_ptrs, origin_rank, *pit_model_, cov_config_, origin,
-          future_len, rng);
+          future_len, first_lap, rng);
       for (std::size_t c = 0; c < cars.size(); ++c) {
-        fill_row(c * s_count + s, cars[c], realization.at(cars[c]),
+        fill_row(c * s_count + s, cars[c], realization.at(cars[c]), first_lap,
                  rc.cars.at(cars[c]).history);
       }
     }
@@ -475,7 +575,7 @@ RaceSamples TransformerForecaster::forecast(const telemetry::RaceLog& race,
     for (std::size_t c = 0; c < cars.size(); ++c) {
       const auto& cc = rc.cars.at(cars[c]);
       for (std::size_t s = 0; s < s_count; ++s) {
-        fill_row(c * s_count + s, cars[c], cc.covariates, cc.history);
+        fill_row(c * s_count + s, cars[c], cc.covariates, 0, cc.history);
       }
     }
   }

@@ -15,12 +15,17 @@
 //
 // Per-race LSTM state traces are cached so that evaluating hundreds of
 // forecast origins per race costs one encoder pass over the race instead of
-// one per origin.
+// one per origin. Under the PitModel the status realization of a forecast
+// is drawn once, over only the laps the decoder reads, and shared by all of
+// its car partitions.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <vector>
 
 #include "core/ar_model.hpp"
 #include "core/forecaster.hpp"
@@ -48,6 +53,17 @@ enum class DecodeMode { kIndependent, kTree };
 /// (read once at first call — same pattern as RANKNET_KERNEL).
 DecodeMode default_decode_mode();
 
+/// What a per-race cache entry was built from besides the race id. A log
+/// reloaded under the same id with more cars or laps (a live race that has
+/// moved on) no longer matches, and its entry is rebuilt.
+struct RaceShape {
+  std::size_t cars = 0;
+  std::size_t records = 0;  // laps completed, summed over all cars
+
+  static RaceShape of(const telemetry::RaceLog& race);
+  bool operator==(const RaceShape&) const = default;
+};
+
 class RankNetForecaster : public RaceForecaster,
                           public PartitionableForecaster {
  public:
@@ -70,15 +86,19 @@ class RankNetForecaster : public RaceForecaster,
                                  int origin_lap) override;
   /// Child streams: per-row noise from Rng::stream(base, car_id, sample+1);
   /// kPitModel's coupled status realization for sample s from
-  /// Rng::stream(base, s, 0), always over the full active car set so the
-  /// realization is the same in every partition.
+  /// Rng::stream(base, s, 0), always over the full forecast_cars set. The
+  /// realization is drawn once per forecast: the first partition of a
+  /// (race, origin, horizon, samples, base) key fills a small per-instance
+  /// forecast context, and every later partition of that key reads it, so
+  /// all partitions decode against the same bytes.
   RaceSamples forecast_partition(const telemetry::RaceLog& race,
                                  int origin_lap, int horizon, int num_samples,
                                  std::uint64_t base,
                                  std::span<const int> cars) override;
 
-  /// Drop cached traces (e.g. between races to bound memory).
-  void clear_cache() { cache_.clear(); }
+  /// Drop cached traces and forecast contexts (e.g. between races to bound
+  /// memory).
+  void clear_cache();
 
   /// Decode strategy; defaults to default_decode_mode(). The differential
   /// tests flip this to prove kTree bit-identical to kIndependent.
@@ -89,17 +109,43 @@ class RankNetForecaster : public RaceForecaster,
   struct CarCache {
     std::vector<double> history;  // observed ranks
     features::StatusStreams streams;
+    /// Ground-truth covariate rows. kPitModel decodes against sampled rows
+    /// only, so it drops them once the trace is built.
     std::vector<std::vector<double>> covariates;
-    std::vector<LstmSeqModel::StackState> trace;
+    std::vector<double> trace;  // LstmSeqModel::trace_flat of the log
   };
   struct RaceCache {
+    RaceShape shape;
+    std::uint64_t generation = 0;  // unique per build, never reused
     std::map<int, CarCache> cars;
+  };
+
+  /// One forecast's kPitModel status realization, shared by its partitions.
+  /// Holds the covariate rows the decoder reads, laps origin - tail + 1 ..
+  /// origin + horizon (`window` = tail + horizon rows) for every car of
+  /// `cars` (= forecast_cars) and sample: row k of car i in sample s starts
+  /// at rows[((s * cars.size() + i) * window + k) * dim].
+  struct ForecastContext {
+    std::uint64_t generation = 0;  // of the RaceCache it was drawn over
+    int origin = 0;
+    int horizon = 0;
+    int samples = 0;
+    std::uint64_t base = 0;
+    std::mutex fill_mutex;
+    bool filled = false;  // guarded by fill_mutex; the rest is then const
+    std::vector<int> cars;
+    std::vector<double> rows;
   };
 
   const RaceCache& race_cache(const telemetry::RaceLog& race);
   /// Read-only lookup (no insertion) — the thread-safe path used by
-  /// forecast_partition after prepare() has warmed the cache.
+  /// forecast_partition after prepare() has warmed the cache. A stale entry
+  /// (same id, other RaceShape) is not found.
   const RaceCache* find_cache(const telemetry::RaceLog& race) const;
+  /// The filled context of a forecast key; the first caller draws it.
+  std::shared_ptr<const ForecastContext> forecast_context(
+      const RaceCache& rc, int origin_lap, int horizon, int num_samples,
+      std::uint64_t base, int tail);
 
   std::shared_ptr<const LstmSeqModel> model_;
   std::shared_ptr<const PitModel> pit_model_;  // only for kPitModel
@@ -109,6 +155,12 @@ class RankNetForecaster : public RaceForecaster,
   std::string name_;
   DecodeMode decode_mode_ = default_decode_mode();
   std::map<std::string, RaceCache> cache_;
+  std::uint64_t generations_ = 0;  // RaceCache builds so far
+  /// The last few forecast contexts, oldest first. Partitions of one
+  /// forecast run back to back (or side by side on the engine pool), so a
+  /// handful of slots also covers forecasts interleaved on one instance.
+  std::mutex contexts_mutex_;
+  std::vector<std::shared_ptr<ForecastContext>> contexts_;
 };
 
 /// Transformer-based RankNet (paper Section IV-I): same Algorithm-2
@@ -131,9 +183,10 @@ class TransformerForecaster : public RaceForecaster {
   struct CarCache {
     std::vector<double> history;
     features::StatusStreams streams;
-    std::vector<std::vector<double>> covariates;
+    std::vector<std::vector<double>> covariates;  // empty under kPitModel
   };
   struct RaceCache {
+    RaceShape shape;
     std::map<int, CarCache> cars;
   };
   const RaceCache& race_cache(const telemetry::RaceLog& race);

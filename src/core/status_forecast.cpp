@@ -1,5 +1,8 @@
 #include "core/status_forecast.hpp"
 
+#include <algorithm>
+#include <stdexcept>
+
 #include "core/forecast_cache.hpp"
 #include "tensor/workspace.hpp"
 
@@ -17,28 +20,18 @@ std::uint64_t covariate_window_digest(
 
 PitFeatures current_pit_features(const features::StatusStreams& streams,
                                  std::size_t origin) {
-  PitFeatures f;
-  double caution = 0.0, age = 0.0;
-  const std::size_t n = std::min(origin, streams.laps());
-  for (std::size_t t = 0; t < n; ++t) {
-    if (streams.lap_status[t] > 0.5) {
-      caution = 0.0;
-      age = 0.0;
-    } else {
-      if (streams.track_status[t] > 0.5) caution += 1.0;
-      age += 1.0;
-    }
-  }
-  f.caution_laps = caution;
-  f.pit_age = age;
-  return f;
+  return streams.ages_after(origin);
 }
 
 std::map<int, std::vector<std::vector<double>>> sample_status_realization(
     const std::map<int, const features::StatusStreams*>& streams,
     const std::map<int, double>& origin_rank, const PitModel& pit_model,
     const features::CovariateConfig& config, std::size_t origin,
-    std::size_t future_len, util::Rng& rng) {
+    std::size_t future_len, std::size_t lo, util::Rng& rng) {
+  if (lo > origin) {
+    throw std::invalid_argument(
+        "sample_status_realization: first row lies past the origin");
+  }
   // Sample every car's future pit laps first (they couple through the
   // race-context features). One zero-allocation MLP session serves every
   // car; the sequential draw order matches PitModel::sample_future_lap_status
@@ -59,21 +52,28 @@ std::map<int, std::vector<std::vector<double>>> sample_status_realization(
 
   std::map<int, std::vector<std::vector<double>>> out;
   for (const auto& [car_id, s] : streams) {
-    features::StatusStreams ext;
-    const auto prefix = [origin](const std::vector<double>& src) {
-      const auto n = std::min(origin, src.size());
-      return std::vector<double>(src.begin(),
-                                 src.begin() + static_cast<std::ptrdiff_t>(n));
+    if (s->laps() < lo) {
+      throw std::invalid_argument(
+          "sample_status_realization: streams end before the first row");
+    }
+    // The streams from row lo on: observed laps up to the origin, then the
+    // sampled future. The rows before lo enter only through the age state.
+    features::StatusStreams window;
+    const auto observed = [lo, origin](const std::vector<double>& src) {
+      const auto end = std::min(origin, src.size());
+      return std::vector<double>(
+          src.begin() + static_cast<std::ptrdiff_t>(std::min(lo, end)),
+          src.begin() + static_cast<std::ptrdiff_t>(end));
     };
-    ext.track_status = prefix(s->track_status);
-    ext.lap_status = prefix(s->lap_status);
-    ext.total_pit_count = prefix(s->total_pit_count);
-    ext.leader_pit_count = prefix(s->leader_pit_count);
+    window.track_status = observed(s->track_status);
+    window.lap_status = observed(s->lap_status);
+    window.total_pit_count = observed(s->total_pit_count);
+    window.leader_pit_count = observed(s->leader_pit_count);
     const auto& mine = predicted.at(car_id);
     for (std::size_t t = 0; t < future_len; ++t) {
-      ext.track_status.push_back(0.0);  // Algorithm 2: assume green
-      ext.lap_status.push_back(mine[t]);
-      ext.total_pit_count.push_back(future_total[t]);
+      window.track_status.push_back(0.0);  // Algorithm 2: assume green
+      window.lap_status.push_back(mine[t]);
+      window.total_pit_count.push_back(future_total[t]);
       double leaders = 0.0;
       for (const auto& [other_id, status] : predicted) {
         if (other_id != car_id && status[t] > 0.5 &&
@@ -81,9 +81,10 @@ std::map<int, std::vector<std::vector<double>>> sample_status_realization(
           leaders += 1.0;
         }
       }
-      ext.leader_pit_count.push_back(leaders);
+      window.leader_pit_count.push_back(leaders);
     }
-    out.emplace(car_id, features::build_covariates(ext, config));
+    out.emplace(car_id, features::build_covariates(window, config,
+                                                   s->ages_after(lo)));
   }
   return out;
 }

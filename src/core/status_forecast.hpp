@@ -26,14 +26,19 @@ std::uint64_t covariate_window_digest(
 PitFeatures current_pit_features(const features::StatusStreams& streams,
                                  std::size_t origin);
 
-/// One sampled race-status realization: per-car covariate rows covering
-/// laps 1..origin+future_len (0-based rows 0..origin+future_len-1).
-/// TrackStatus is assumed green in the future; LeaderPitCount uses the
-/// rank order frozen at the origin.
+/// One sampled race-status realization: per-car covariate rows for the
+/// 0-based rows [lo, origin + future_len), i.e. laps lo+1..origin+future_len
+/// (element k of a car's vector is row lo + k). Rows before the origin hold
+/// ground truth, later rows the sampled future. TrackStatus is assumed green
+/// in the future; LeaderPitCount uses the rank order frozen at the origin.
+///
+/// The draws do not depend on `lo`, and every row equals the same row of
+/// the lo = 0 (full-race) build bit for bit, so a caller builds only the
+/// rows it reads. Requires lo <= origin and streams of at least lo laps.
 std::map<int, std::vector<std::vector<double>>> sample_status_realization(
     const std::map<int, const features::StatusStreams*>& streams,
     const std::map<int, double>& origin_rank, const PitModel& pit_model,
     const features::CovariateConfig& config, std::size_t origin,
-    std::size_t future_len, util::Rng& rng);
+    std::size_t future_len, std::size_t lo, util::Rng& rng);
 
 }  // namespace ranknet::core

@@ -12,20 +12,13 @@ CarStatusFeatures compute_status_features(const telemetry::CarSeries& car) {
   f.lap_status.resize(n);
   f.caution_laps.resize(n);
   f.pit_age.resize(n);
-  double caution_since_pit = 0.0;
-  double age = 0.0;
+  AgeState ages;
   for (std::size_t i = 0; i < n; ++i) {
     f.track_status[i] = car.yellow(i) ? 1.0 : 0.0;
     f.lap_status[i] = car.pit(i) ? 1.0 : 0.0;
-    if (car.pit(i)) {
-      caution_since_pit = 0.0;
-      age = 0.0;
-    } else {
-      if (car.yellow(i)) caution_since_pit += 1.0;
-      age += 1.0;
-    }
-    f.caution_laps[i] = caution_since_pit;
-    f.pit_age[i] = age;
+    ages.advance(car.pit(i), car.yellow(i));
+    f.caution_laps[i] = ages.caution_laps;
+    f.pit_age[i] = ages.pit_age;
   }
   return f;
 }

@@ -12,6 +12,25 @@
 
 namespace ranknet::features {
 
+/// Accumulation state of the age features after some laps of one car: the
+/// caution laps and the laps since its last pit stop (raw lap counts).
+struct AgeState {
+  double caution_laps = 0.0;
+  double pit_age = 0.0;
+
+  /// Fold in one lap: a pit stop resets both counts; any other lap ages the
+  /// car by one, and a yellow one also adds a caution lap.
+  void advance(bool pit, bool yellow) {
+    if (pit) {
+      caution_laps = 0.0;
+      pit_age = 0.0;
+    } else {
+      if (yellow) caution_laps += 1.0;
+      pit_age += 1.0;
+    }
+  }
+};
+
 /// Per-car, lap-aligned derived features (index 0 = lap 1).
 struct CarStatusFeatures {
   std::vector<double> track_status;  // 1 = yellow

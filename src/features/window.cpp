@@ -41,23 +41,24 @@ StatusStreams StatusStreams::from_race(const telemetry::RaceLog& race,
   return s;
 }
 
+AgeState StatusStreams::ages_after(std::size_t laps) const {
+  AgeState ages;
+  const std::size_t n = std::min(laps, this->laps());
+  for (std::size_t t = 0; t < n; ++t) {
+    ages.advance(lap_status[t] > 0.5, track_status[t] > 0.5);
+  }
+  return ages;
+}
+
 std::vector<std::vector<double>> build_covariates(
-    const StatusStreams& streams, const CovariateConfig& config) {
+    const StatusStreams& streams, const CovariateConfig& config,
+    AgeState start) {
   const std::size_t n = streams.laps();
   std::vector<std::vector<double>> out(n);
   // Recompute accumulation features from the (possibly predicted) statuses.
-  double caution_since_pit = 0.0;
-  double age = 0.0;
+  AgeState ages = start;
   for (std::size_t t = 0; t < n; ++t) {
-    const bool pit = streams.lap_status[t] > 0.5;
-    const bool yellow = streams.track_status[t] > 0.5;
-    if (pit) {
-      caution_since_pit = 0.0;
-      age = 0.0;
-    } else {
-      if (yellow) caution_since_pit += 1.0;
-      age += 1.0;
-    }
+    ages.advance(streams.lap_status[t] > 0.5, streams.track_status[t] > 0.5);
     auto& row = out[t];
     row.reserve(config.dim());
     if (config.race_status) {
@@ -65,8 +66,8 @@ std::vector<std::vector<double>> build_covariates(
       row.push_back(streams.lap_status[t]);
     }
     if (config.age_features) {
-      row.push_back(caution_since_pit / kCautionLapsScale);
-      row.push_back(age / kPitAgeScale);
+      row.push_back(ages.caution_laps / kCautionLapsScale);
+      row.push_back(ages.pit_age / kPitAgeScale);
     }
     if (config.context_features) {
       row.push_back(

@@ -32,6 +32,8 @@ struct StatusStreams {
   std::vector<double> leader_pit_count;  // per car, per lap
 
   std::size_t laps() const { return track_status.size(); }
+  /// Age-feature state after the first min(laps, laps()) laps.
+  AgeState ages_after(std::size_t laps) const;
   /// Extract ground-truth streams for (race, car).
   static StatusStreams from_race(const telemetry::RaceLog& race, int car_id);
 };
@@ -39,8 +41,15 @@ struct StatusStreams {
 /// Assemble the covariate vector for every lap in [0, streams.laps()).
 /// Age features are recomputed from the (possibly predicted) statuses, so
 /// the same code path serves training and forecasting.
+///
+/// `streams` may also be a window that starts mid-race: `start` is then the
+/// age-feature state after the laps before the window (see
+/// StatusStreams::ages_after), and the rows equal the matching rows of the
+/// full-race build bit for bit. Shift features read ahead inside the
+/// window, so the window must run to the end of the streams.
 std::vector<std::vector<double>> build_covariates(const StatusStreams& streams,
-                                                  const CovariateConfig& config);
+                                                  const CovariateConfig& config,
+                                                  AgeState start = {});
 
 /// One training window: laps [begin, begin + enc + dec) of one car.
 struct SeqExample {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <span>
 
 #include "core/ar_model.hpp"
 #include "core/pit_model.hpp"
@@ -98,14 +100,17 @@ TEST(LstmSeqModel, LearnsCovariateDrivenJump) {
   const std::vector<std::vector<std::vector<double>>> hist_covs{
       {{0}, {0}, {0}, {0}, {0}, {0}}};
   util::Rng rng(3);
-  auto trace = model.trace(history, hist_covs, {0});
-  ASSERT_EQ(trace.size(), 5u);
+  const auto trace = model.trace_flat(history[0], hist_covs[0], 0);
+  const std::size_t step = model.trace_step_size();
+  ASSERT_EQ(trace.size(), 5 * step);
+  const std::span<const double> last =
+      std::span<const double>(trace).subspan(4 * step, step);
 
   auto mean_forecast = [&](double cov_value) {
     double acc = 0.0;
     const int reps = 200;
     for (int i = 0; i < reps; ++i) {
-      auto state = LstmSeqModel::replicate_state(trace.back(), 0, 1);
+      auto state = model.state_from_trace({&last, 1});
       const std::vector<std::vector<std::vector<double>>> fut{
           {{cov_value}}};
       const auto out = model.sample_forward(state, {{10.0}}, fut, {0}, 1,
@@ -129,7 +134,7 @@ TEST(LstmSeqModel, TraceMatchesManualAdvance) {
   const auto trace = model.trace(history, covs, {0});
   ASSERT_EQ(trace.size(), 3u);
   // Replaying the last step from trace[1] must reproduce trace[2].
-  auto state = LstmSeqModel::replicate_state(trace[1], 0, 1);
+  auto state = trace[1];
   model.advance(state, {{history[0][2]}}, {covs[0][3]}, {0});
   for (std::size_t l = 0; l < state.size(); ++l) {
     for (std::size_t i = 0; i < state[l].h.size(); ++i) {
@@ -139,21 +144,64 @@ TEST(LstmSeqModel, TraceMatchesManualAdvance) {
   }
 }
 
-TEST(LstmSeqModel, ReplicateAndConcatStates) {
+TEST(LstmSeqModel, FlatTraceMatchesTraceBitForBit) {
+  // toy_config has two layers, so the per-layer layout is exercised too.
+  const auto cfg = toy_config();
+  LstmSeqModel model(cfg);
+  model.set_scaler(toy_scaler());
+  const std::vector<std::vector<double>> history{{10, 11, 9, 12, 12, 8}};
+  const std::vector<std::vector<std::vector<double>>> covs{
+      {{0}, {1}, {0}, {1}, {1}, {0}}};
+  const auto trace = model.trace(history, covs, {0});
+  const auto flat = model.trace_flat(history[0], covs[0], 0);
+  const std::size_t step = model.trace_step_size();
+  ASSERT_EQ(step, cfg.num_layers * 2 * cfg.hidden);
+  ASSERT_EQ(flat.size(), trace.size() * step);
+  const auto bits = [](std::span<const double> a, std::span<const double> b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+  for (std::size_t t = 0; t < trace.size(); ++t) {
+    const auto slice = std::span<const double>(flat).subspan(t * step, step);
+    for (std::size_t l = 0; l < cfg.num_layers; ++l) {
+      const auto h = slice.subspan(2 * l * cfg.hidden, cfg.hidden);
+      const auto c = slice.subspan((2 * l + 1) * cfg.hidden, cfg.hidden);
+      EXPECT_TRUE(bits(h, trace[t][l].h.flat())) << "step " << t << " h" << l;
+      EXPECT_TRUE(bits(c, trace[t][l].c.flat())) << "step " << t << " c" << l;
+    }
+  }
+}
+
+TEST(LstmSeqModel, StateFromTraceCopiesStepsPerRow) {
   LstmSeqModel model(toy_config());
   model.set_scaler(toy_scaler());
   const std::vector<std::vector<double>> history{{10, 11, 12}};
   const std::vector<std::vector<std::vector<double>>> covs{{{0}, {1}, {0}}};
   const auto trace = model.trace(history, covs, {0});
-  const auto rep = LstmSeqModel::replicate_state(trace.back(), 0, 3);
-  EXPECT_EQ(rep[0].h.rows(), 3u);
-  for (std::size_t r = 0; r < 3; ++r) {
-    for (std::size_t c = 0; c < rep[0].h.cols(); ++c) {
-      EXPECT_DOUBLE_EQ(rep[0].h(r, c), trace.back()[0].h(0, c));
+  const auto flat = model.trace_flat(history[0], covs[0], 0);
+  const std::size_t step = model.trace_step_size();
+  const auto slice = [&](std::size_t t) {
+    return std::span<const double>(flat).subspan(t * step, step);
+  };
+  // Rows 0-2 repeat the last step, row 3 is the first: any mix of cars,
+  // samples and steps batches into one state.
+  const std::vector<std::span<const double>> steps{slice(1), slice(1),
+                                                   slice(1), slice(0)};
+  const auto state = model.state_from_trace(steps);
+  ASSERT_EQ(state.size(), trace[0].size());
+  for (std::size_t l = 0; l < state.size(); ++l) {
+    ASSERT_EQ(state[l].h.rows(), 4u);
+    for (std::size_t r = 0; r < 4; ++r) {
+      const auto& want = trace[r < 3 ? 1 : 0][l];
+      for (std::size_t c = 0; c < state[l].h.cols(); ++c) {
+        EXPECT_EQ(state[l].h(r, c), want.h(0, c));
+        EXPECT_EQ(state[l].c(r, c), want.c(0, c));
+      }
     }
   }
-  const auto cat = LstmSeqModel::concat_states({rep, rep});
-  EXPECT_EQ(cat[0].h.rows(), 6u);
+  const std::vector<std::span<const double>> short_step{
+      slice(0).first(step - 1)};
+  EXPECT_THROW(model.state_from_trace(short_step), std::invalid_argument);
 }
 
 TEST(LstmSeqModel, SampleForwardShapesAndSpread) {
@@ -161,8 +209,11 @@ TEST(LstmSeqModel, SampleForwardShapesAndSpread) {
   model.set_scaler(toy_scaler());
   const std::vector<std::vector<double>> history{{10, 10, 10}};
   const std::vector<std::vector<std::vector<double>>> covs{{{0}, {0}, {0}}};
-  const auto trace = model.trace(history, covs, {0});
-  auto state = LstmSeqModel::replicate_state(trace.back(), 0, 64);
+  const auto trace = model.trace_flat(history[0], covs[0], 0);
+  const std::size_t step = model.trace_step_size();
+  const std::vector<std::span<const double>> start(
+      64, std::span<const double>(trace).last(step));
+  auto state = model.state_from_trace(start);
   std::vector<std::vector<double>> z(64, {10.0});
   std::vector<std::vector<std::vector<double>>> fut(
       64, {{0.0}, {0.0}, {0.0}, {0.0}});

@@ -1,10 +1,21 @@
 // Forecaster-level tests of RankNetForecaster / TransformerForecaster using
 // tiny untrained models (fast): shape contracts, determinism for a fixed
-// seed, cache behavior, and status-source differences.
+// seed, cache behavior, status-source differences, the windowed status
+// realization, and the per-forecast status context under partitioning and
+// concurrency (the ForecastContext suite also runs under the `fleet` label,
+// so the fleet-tsan preset vets it).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <functional>
+#include <future>
+
+#include "core/parallel_engine.hpp"
 #include "core/ranknet.hpp"
+#include "core/status_forecast.hpp"
 #include "simulator/season.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -44,6 +55,42 @@ telemetry::RaceLog* ForecasterContract::race_ = nullptr;
 features::CarVocab* ForecasterContract::vocab_ = nullptr;
 std::shared_ptr<core::LstmSeqModel> ForecasterContract::model_;
 std::shared_ptr<core::PitModel> ForecasterContract::pit_;
+
+bool BitsEqual(const tensor::Matrix& a, const tensor::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Every car present in both, with byte-identical samples.
+bool SamplesIdentical(const core::RaceSamples& a, const core::RaceSamples& b) {
+  if (a.size() != b.size()) return false;
+  for (const auto& [car_id, m] : a) {
+    const auto it = b.find(car_id);
+    if (it == b.end() || !BitsEqual(m, it->second)) return false;
+  }
+  return true;
+}
+
+/// An untrained PitModel whose sampled stints last about two laps, so the
+/// sampled status futures differ between samples, keys and fields (the
+/// fixture's model rarely pits inside a short horizon).
+std::shared_ptr<const core::PitModel> PitsEveryFewLaps() {
+  static const auto pit = [] {
+    auto p = std::make_shared<core::PitModel>();
+    p->set_scaler(features::StandardScaler(2.0, 1.0));
+    return p;
+  }();
+  return pit;
+}
+
+/// The first `laps` laps of a race, under the same race id.
+telemetry::RaceLog LapPrefix(const telemetry::RaceLog& race, int laps) {
+  std::vector<telemetry::LapRecord> records;
+  for (const auto& rec : race.records()) {
+    if (rec.lap <= laps) records.push_back(rec);
+  }
+  return telemetry::RaceLog(race.info(), std::move(records));
+}
 
 TEST_F(ForecasterContract, OracleShapesAndDeterminism) {
   core::RankNetForecaster f(model_, nullptr, *vocab_,
@@ -147,6 +194,274 @@ TEST_F(ForecasterContract, TransformerForecasterContract) {
                                            features::CovariateConfig{},
                                            core::StatusSource::kJoint, "x"),
                std::invalid_argument);
+}
+
+TEST_F(ForecasterContract, RaceCacheFollowsALongerLogUnderTheSameId) {
+  // A live race reloaded with more laps keeps its id; the per-race caches
+  // must not keep serving the shorter log's traces (or, under the PitModel,
+  // a status realization drawn over it).
+  const auto prefix = LapPrefix(*race_, 50);
+  ASSERT_EQ(prefix.id(), race_->id());
+  const auto mlp = [&] {
+    return std::make_unique<core::RankNetForecaster>(
+        model_, PitsEveryFewLaps(), *vocab_, features::CovariateConfig{},
+        core::StatusSource::kPitModel, "mlp");
+  };
+  const auto reused = mlp();
+  util::Rng warm(11);
+  ASSERT_FALSE(reused->forecast(prefix, 40, 2, 4, warm).empty());
+
+  util::Rng rng_a(12), rng_b(12);
+  const auto late = reused->forecast(*race_, 100, 2, 4, rng_a);
+  const auto fresh = mlp()->forecast(*race_, 100, 2, 4, rng_b);
+  EXPECT_EQ(fresh.size(), 31u);
+  EXPECT_TRUE(SamplesIdentical(late, fresh));
+
+  // The same forecast key on a corrected log (one car withdrawn): the
+  // status context drawn over the old field must not carry over.
+  std::vector<telemetry::LapRecord> records;
+  for (const auto& rec : race_->records()) {
+    if (rec.car_id != race_->car_ids().front()) records.push_back(rec);
+  }
+  const telemetry::RaceLog corrected(race_->info(), std::move(records));
+  util::Rng rng_c(13), rng_d(13), rng_e(13);
+  (void)reused->forecast(*race_, 60, 2, 4, rng_c);
+  const auto again = reused->forecast(corrected, 60, 2, 4, rng_d);
+  EXPECT_TRUE(
+      SamplesIdentical(again, mlp()->forecast(corrected, 60, 2, 4, rng_e)));
+
+  core::TransformerConfig cfg;
+  cfg.cov_dim = features::CovariateConfig{}.dim();
+  cfg.model_dim = 16;
+  cfg.heads = 4;
+  cfg.blocks = 1;
+  cfg.embed_dim = 2;
+  cfg.vocab = vocab_->size();
+  cfg.infer_context = 12;
+  auto tf = std::make_shared<core::TransformerSeqModel>(cfg);
+  tf->set_scaler(features::StandardScaler(17.0, 9.0));
+  const auto transformer = [&] {
+    return std::make_unique<core::TransformerForecaster>(
+        tf, pit_, *vocab_, features::CovariateConfig{},
+        core::StatusSource::kPitModel, "tf");
+  };
+  const auto tf_reused = transformer();
+  util::Rng tf_warm(14);
+  ASSERT_FALSE(tf_reused->forecast(prefix, 40, 2, 3, tf_warm).empty());
+  util::Rng tf_a(15), tf_b(15);
+  const auto tf_late = tf_reused->forecast(*race_, 100, 2, 3, tf_a);
+  const auto tf_fresh = transformer()->forecast(*race_, 100, 2, 3, tf_b);
+  EXPECT_EQ(tf_fresh.size(), 31u);
+  EXPECT_TRUE(SamplesIdentical(tf_late, tf_fresh));
+}
+
+TEST_F(ForecasterContract, WindowedStatusRealizationMatchesFullBuild) {
+  // For every first row lo, the windowed realization is rows [lo, ...) of
+  // the full (lo = 0) build, bit for bit, with the same draws.
+  const auto bits = [](const std::vector<double>& a,
+                       const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+  features::CovariateConfig no_shift;
+  no_shift.shift_features = false;
+  features::CovariateConfig no_context;
+  no_context.context_features = false;
+  const features::CovariateConfig configs[] = {{}, no_shift, no_context};
+  const int shift = features::CovariateConfig{}.shift;
+  const int last = race_->num_laps();
+  const auto& pit = *PitsEveryFewLaps();  // sampled pits inside the window
+  for (const auto& config : configs) {
+    for (const int origin_lap : {2, 3, shift + 2, last / 2, last}) {
+      const auto origin = static_cast<std::size_t>(origin_lap);
+      std::map<int, features::StatusStreams> owned;
+      std::map<int, const features::StatusStreams*> streams;
+      std::map<int, double> origin_rank;
+      for (int car_id : race_->car_ids()) {
+        const auto& car = race_->car(car_id);
+        if (car.laps() < origin) continue;
+        owned[car_id] = features::StatusStreams::from_race(*race_, car_id);
+        streams[car_id] = &owned[car_id];
+        origin_rank[car_id] = car.rank[origin - 1];
+      }
+      ASSERT_FALSE(streams.empty()) << "origin " << origin;
+      const std::size_t future_len = 4;
+      util::Rng full_rng(origin);
+      const auto full = core::sample_status_realization(
+          streams, origin_rank, pit, config, origin, future_len, 0, full_rng);
+      for (std::size_t lo = 1; lo <= origin; ++lo) {
+        util::Rng rng(origin);
+        const auto window = core::sample_status_realization(
+            streams, origin_rank, pit, config, origin, future_len, lo, rng);
+        EXPECT_EQ(rng(), util::Rng(full_rng)());  // same draws consumed
+        ASSERT_EQ(window.size(), full.size());
+        for (const auto& [car_id, rows] : full) {
+          const auto& got = window.at(car_id);
+          ASSERT_EQ(got.size(), rows.size() - lo)
+              << "origin " << origin << " lo " << lo;
+          for (std::size_t k = 0; k < got.size(); ++k) {
+            ASSERT_TRUE(bits(got[k], rows[lo + k]))
+                << "origin " << origin << " lo " << lo << " car " << car_id
+                << " row " << lo + k;
+          }
+        }
+      }
+    }
+  }
+  std::map<int, const features::StatusStreams*> none;
+  util::Rng rng(1);
+  EXPECT_THROW(core::sample_status_realization(none, {}, pit, {}, 10, 2, 11,
+                                               rng),
+               std::invalid_argument);
+}
+
+/// The per-forecast status context of a PitModel RankNetForecaster: every
+/// partition of a forecast decodes against one realization, whatever the
+/// partition sizes, the order, the other forecasts interleaved on the same
+/// instance, or the threads involved.
+class ForecastContext : public ForecasterContract {
+ protected:
+  struct Key {
+    int origin;
+    int horizon;
+    std::uint64_t base;
+  };
+  static constexpr int kSamples = 5;
+
+  /// Six keys that differ in base, origin or horizon from the first: more
+  /// than the instance keeps contexts for, so interleaving them also evicts.
+  static std::vector<Key> Keys() {
+    return {{60, 3, 101}, {60, 3, 202}, {90, 3, 101},
+            {60, 5, 101}, {3, 2, 303},  {200, 4, 404}};
+  }
+
+  std::unique_ptr<core::RankNetForecaster> Make(
+      features::CovariateConfig config = {}) const {
+    return std::make_unique<core::RankNetForecaster>(
+        model_, PitsEveryFewLaps(), *vocab_, config,
+        core::StatusSource::kPitModel, "mlp");
+  }
+
+  /// Runs a test body on a pool worker. Workers run the OpenMP kernels
+  /// single-threaded, as shard drivers do; OpenMP teams started from the
+  /// main thread are invisible to TSan (libgomp is not instrumented) and
+  /// would read as races under the fleet-tsan preset.
+  static void OnWorker(const std::function<void()>& body) {
+    util::ThreadPool driver(1);
+    driver.submit(body).get();
+  }
+
+  /// Whole-field forecast_partition of each key on a fresh instance.
+  std::vector<core::RaceSamples> Reference(
+      features::CovariateConfig config = {}) const {
+    std::vector<core::RaceSamples> out;
+    for (const auto& key : Keys()) {
+      auto fresh = Make(config);
+      fresh->prepare(*race_);
+      const auto cars = fresh->forecast_cars(*race_, key.origin);
+      out.push_back(fresh->forecast_partition(*race_, key.origin, key.horizon,
+                                              kSamples, key.base, cars));
+      EXPECT_FALSE(out.back().empty());
+    }
+    return out;
+  }
+};
+
+TEST_F(ForecastContext, InterleavedPartitionsMatchFreshWholeField) {
+  features::CovariateConfig no_shift;  // tail = 0: no encoder-tail replay
+  no_shift.shift_features = false;
+  OnWorker([&] {
+    for (const auto& config : {features::CovariateConfig{}, no_shift}) {
+      const auto keys = Keys();
+      const auto reference = Reference(config);
+      const auto shared = Make(config);
+      shared->prepare(*race_);
+      for (const std::size_t size : {std::size_t{1}, std::size_t{4},
+                                     std::size_t{64}}) {
+        // Round-robin: one partition of each key in turn, so partitions of
+        // one forecast are separated by partitions of every other forecast.
+        std::vector<std::vector<int>> cars(keys.size());
+        std::vector<core::RaceSamples> got(keys.size());
+        std::size_t rounds = 0;
+        for (std::size_t k = 0; k < keys.size(); ++k) {
+          cars[k] = shared->forecast_cars(*race_, keys[k].origin);
+          rounds = std::max(rounds, (cars[k].size() + size - 1) / size);
+        }
+        for (std::size_t round = 0; round < rounds; ++round) {
+          for (std::size_t k = 0; k < keys.size(); ++k) {
+            const std::size_t begin = round * size;
+            if (begin >= cars[k].size()) continue;
+            const std::size_t n = std::min(size, cars[k].size() - begin);
+            auto part = shared->forecast_partition(
+                *race_, keys[k].origin, keys[k].horizon, kSamples, keys[k].base,
+                std::span<const int>(cars[k].data() + begin, n));
+            got[k].merge(part);
+          }
+        }
+        for (std::size_t k = 0; k < keys.size(); ++k) {
+          EXPECT_TRUE(SamplesIdentical(got[k], reference[k]))
+              << "key " << k << " partition size " << size << " shift "
+              << config.shift_features;
+        }
+      }
+    }
+  });
+}
+
+TEST_F(ForecastContext, EngineThreadsAndConcurrentCallersMatchFreshWholeField) {
+  const auto keys = Keys();
+  std::vector<core::RaceSamples> reference;
+  const auto shared = Make();
+  OnWorker([&] {
+    reference = Reference();
+    shared->prepare(*race_);
+    for (const std::size_t threads : {std::size_t{0}, std::size_t{2},
+                                      std::size_t{8}}) {
+      for (const std::size_t size : {std::size_t{1}, std::size_t{4},
+                                     std::size_t{64}}) {
+        core::ParallelForecastEngine engine(*shared, threads, size);
+        // Twice over, so the second pass can also hit the kept contexts.
+        for (int pass = 0; pass < 2; ++pass) {
+          for (std::size_t k = 0; k < keys.size(); ++k) {
+            const auto out =
+                engine.forecast_with_base(*race_, keys[k].origin,
+                                          keys[k].horizon, kSamples,
+                                          keys[k].base);
+            EXPECT_TRUE(SamplesIdentical(out, reference[k]))
+                << "key " << k << " threads " << threads << " size " << size;
+          }
+        }
+      }
+    }
+  });
+
+  // Concurrent callers on one instance: each walks the keys from its own
+  // offset in single-car partitions, so fills and reads of the same and of
+  // different contexts overlap.
+  std::vector<std::vector<int>> cars;
+  for (const auto& key : keys) {
+    cars.push_back(shared->forecast_cars(*race_, key.origin));
+  }
+  util::ThreadPool pool(4);
+  std::vector<std::future<bool>> callers;
+  for (std::size_t offset = 0; offset < 4; ++offset) {
+    callers.push_back(pool.submit([&, offset] {
+      bool ok = true;
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        const std::size_t k = (offset + i) % keys.size();
+        core::RaceSamples got;
+        for (const int car : cars[k]) {
+          auto part = shared->forecast_partition(
+              *race_, keys[k].origin, keys[k].horizon, kSamples, keys[k].base,
+              std::span<const int>(&car, 1));
+          got.merge(part);
+        }
+        ok = ok && SamplesIdentical(got, reference[k]);
+      }
+      return ok;
+    }));
+  }
+  for (auto& caller : callers) EXPECT_TRUE(caller.get());
 }
 
 }  // namespace
