@@ -5,25 +5,6 @@
 
 namespace ranknet::core {
 
-std::uint64_t race_state_digest(const telemetry::RaceLog& race) {
-  Fnv1a h;
-  const std::string id = race.id();
-  h.update_bytes(id.data(), id.size());
-  h.update_u64(static_cast<std::uint64_t>(race.num_laps()));
-  for (int car_id : race.car_ids()) {
-    const auto& car = race.car(car_id);
-    h.update_u64(static_cast<std::uint64_t>(car_id));
-    h.update_u64(static_cast<std::uint64_t>(car.laps()));
-    for (std::size_t t = 0; t < car.laps(); ++t) {
-      h.update_double(car.rank[t]);
-      h.update_double(car.lap_time[t]);
-      h.update_u64(static_cast<std::uint64_t>(car.lap_status[t]));
-      h.update_u64(static_cast<std::uint64_t>(car.track_status[t]));
-    }
-  }
-  return h.digest();
-}
-
 CacheCounters& CacheCounters::instance() {
   static CacheCounters inst;
   return inst;

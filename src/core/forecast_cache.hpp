@@ -39,9 +39,7 @@
 // (tests/test_forecast_cache.cpp, StripedAccountingExactUnderConcurrency).
 #pragma once
 
-#include <cmath>
 #include <cstdint>
-#include <limits>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -51,50 +49,21 @@
 
 #include "core/forecaster.hpp"
 #include "obs/metrics.hpp"
+#include "util/fnv1a.hpp"
 
 namespace ranknet::core {
 
-/// Incremental 64-bit FNV-1a. Small and header-inline so the digest of a
-/// race, a covariate window, or a cache key all share one definition.
-class Fnv1a {
- public:
-  void update_bytes(const void* data, std::size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-      state_ ^= static_cast<std::uint64_t>(p[i]);
-      state_ *= kPrime;
-    }
-  }
-  void update_u64(std::uint64_t v) { update_bytes(&v, sizeof(v)); }
-  /// Hashes the bit pattern of the CANONICALIZED value: -0.0 hashes as
-  /// 0.0 and every NaN as one canonical quiet NaN, so numerically
-  /// identical race states digest identically (raw-bit hashing silently
-  /// split cache entries on sign-of-zero / NaN-payload noise). Digest
-  /// consumers that need byte-level resolution — the decode tree's branch
-  /// grouping — already confirm digest matches with an exact bit
-  /// comparison, so a canonicalization-induced digest merge can only group
-  /// candidates, never wrongly share them.
-  void update_double(double v) {
-    if (v == 0.0) {
-      v = 0.0;  // +0.0 == -0.0 compares true; hash the +0.0 bits for both
-    } else if (std::isnan(v)) {
-      v = std::numeric_limits<double>::quiet_NaN();
-    }
-    update_bytes(&v, sizeof(v));
-  }
-  std::uint64_t digest() const { return state_; }
-
- private:
-  static constexpr std::uint64_t kOffsetBasis = 1469598103934665603ull;
-  static constexpr std::uint64_t kPrime = 1099511628211ull;
-  std::uint64_t state_ = kOffsetBasis;
-};
+/// The shared FNV-1a hasher (util/fnv1a.hpp), also reachable as
+/// core::Fnv1a for the digests core and its callers compute.
+using util::Fnv1a;
 
 /// FNV-1a digest of everything a forecast reads from the race: id, lap
 /// count, and every per-car series (rank, statuses, lap times) in ascending
-/// car-id order. O(records); ~50k hash steps for a full 33-car race —
-/// three orders of magnitude below one cold forecast.
-std::uint64_t race_state_digest(const telemetry::RaceLog& race);
+/// car-id order. Computed once when the RaceLog is built (RaceLog::digest),
+/// so this is O(1).
+inline std::uint64_t race_state_digest(const telemetry::RaceLog& race) {
+  return race.digest();
+}
 
 struct ForecastCacheKey {
   std::uint64_t race_digest = 0;

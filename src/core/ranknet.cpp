@@ -48,10 +48,6 @@ RankNetForecaster::RankNetForecaster(
   }
 }
 
-RaceShape RaceShape::of(const telemetry::RaceLog& race) {
-  return {race.car_ids().size(), race.num_records()};
-}
-
 namespace {
 
 /// Forecast contexts a RankNetForecaster keeps.
@@ -77,7 +73,7 @@ const RankNetForecaster::RaceCache& RankNetForecaster::race_cache(
   if (const RaceCache* rc = find_cache(race)) return *rc;
 
   RaceCache rc;
-  rc.shape = RaceShape::of(race);
+  rc.digest = race.digest();
   rc.generation = ++generations_;
   for (int car_id : race.car_ids()) {
     const auto& car = race.car(car_id);
@@ -107,7 +103,7 @@ void RankNetForecaster::clear_cache() {
 const RankNetForecaster::RaceCache* RankNetForecaster::find_cache(
     const telemetry::RaceLog& race) const {
   const auto it = cache_.find(race.id());
-  return it == cache_.end() || it->second.shape != RaceShape::of(race)
+  return it == cache_.end() || it->second.digest != race.digest()
              ? nullptr
              : &it->second;
 }
@@ -491,11 +487,12 @@ TransformerForecaster::TransformerForecaster(
 
 const TransformerForecaster::RaceCache& TransformerForecaster::race_cache(
     const telemetry::RaceLog& race) {
-  const auto shape = RaceShape::of(race);
   auto it = cache_.find(race.id());
-  if (it != cache_.end() && it->second.shape == shape) return it->second;
+  if (it != cache_.end() && it->second.digest == race.digest()) {
+    return it->second;
+  }
   RaceCache rc;
-  rc.shape = shape;
+  rc.digest = race.digest();
   for (int car_id : race.car_ids()) {
     const auto& car = race.car(car_id);
     if (car.laps() < 3) continue;

@@ -53,17 +53,6 @@ enum class DecodeMode { kIndependent, kTree };
 /// (read once at first call — same pattern as RANKNET_KERNEL).
 DecodeMode default_decode_mode();
 
-/// What a per-race cache entry was built from besides the race id. A log
-/// reloaded under the same id with more cars or laps (a live race that has
-/// moved on) no longer matches, and its entry is rebuilt.
-struct RaceShape {
-  std::size_t cars = 0;
-  std::size_t records = 0;  // laps completed, summed over all cars
-
-  static RaceShape of(const telemetry::RaceLog& race);
-  bool operator==(const RaceShape&) const = default;
-};
-
 class RankNetForecaster : public RaceForecaster,
                           public PartitionableForecaster {
  public:
@@ -114,8 +103,12 @@ class RankNetForecaster : public RaceForecaster,
     std::vector<std::vector<double>> covariates;
     std::vector<double> trace;  // LstmSeqModel::trace_flat of the log
   };
+  /// Per-race caches are keyed on the race id and hold the content digest
+  /// (RaceLog::digest) of the log they were built from: a log reloaded
+  /// under the same id with other content — a live race that has moved on,
+  /// or a corrected lap — no longer matches, and its entry is rebuilt.
   struct RaceCache {
-    RaceShape shape;
+    std::uint64_t digest = 0;
     std::uint64_t generation = 0;  // unique per build, never reused
     std::map<int, CarCache> cars;
   };
@@ -140,7 +133,7 @@ class RankNetForecaster : public RaceForecaster,
   const RaceCache& race_cache(const telemetry::RaceLog& race);
   /// Read-only lookup (no insertion) — the thread-safe path used by
   /// forecast_partition after prepare() has warmed the cache. A stale entry
-  /// (same id, other RaceShape) is not found.
+  /// (same id, other digest) is not found.
   const RaceCache* find_cache(const telemetry::RaceLog& race) const;
   /// The filled context of a forecast key; the first caller draws it.
   std::shared_ptr<const ForecastContext> forecast_context(
@@ -186,7 +179,7 @@ class TransformerForecaster : public RaceForecaster {
     std::vector<std::vector<double>> covariates;  // empty under kPitModel
   };
   struct RaceCache {
-    RaceShape shape;
+    std::uint64_t digest = 0;  // RaceLog::digest of the log it was built from
     std::map<int, CarCache> cars;
   };
   const RaceCache& race_cache(const telemetry::RaceLog& race);

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "core/fleet_engine.hpp"
-#include "core/forecast_cache.hpp"
 
 namespace ranknet::serve {
 
@@ -23,16 +22,14 @@ RaceTable::Bucket& RaceTable::bucket_for(const std::string& race_id) const {
 }
 
 void RaceTable::insert(telemetry::RaceLog race) {
-  auto entry = std::make_shared<RaceEntry>();
-  entry->digest = core::race_state_digest(race);
   auto id = race.id();
-  entry->race = std::make_shared<const telemetry::RaceLog>(std::move(race));
+  auto entry = std::make_shared<const telemetry::RaceLog>(std::move(race));
   Bucket& b = bucket_for(id);
   std::lock_guard<std::mutex> lock(b.mutex);
   b.map[std::move(id)] = std::move(entry);
 }
 
-std::shared_ptr<const RaceEntry> RaceTable::find(
+std::shared_ptr<const telemetry::RaceLog> RaceTable::find(
     const std::string& race_id) const {
   Bucket& b = bucket_for(race_id);
   std::lock_guard<std::mutex> lock(b.mutex);

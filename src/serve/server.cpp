@@ -7,6 +7,8 @@
 #include <cmath>
 #include <cstring>
 #include <future>
+#include <iterator>
+#include <list>
 #include <map>
 #include <tuple>
 #include <utility>
@@ -41,6 +43,18 @@ double seconds_until(std::chrono::steady_clock::time_point deadline,
                      std::chrono::steady_clock::time_point now) {
   return std::chrono::duration<double>(deadline - now).count();
 }
+
+/// One dispatched micro-batch group, held by the worker until its job has
+/// returned. The pins keep the model's engines and the routed shard alive
+/// while the job borrows them (RaceShard::submit's lifetime contract: the
+/// submitter, never the job, owns the shard).
+struct InFlight {
+  std::shared_ptr<const ServingModel> model;
+  std::shared_ptr<core::RaceShard> shard;
+  std::size_t requests = 0;
+  bool answered = false;  // set by the job, under the queue mutex
+  std::future<void> done;
+};
 
 }  // namespace
 
@@ -314,33 +328,55 @@ void ForecastServer::handle_load_race(const std::shared_ptr<Conn>& conn,
 // --- worker thread ---------------------------------------------------------
 
 void ForecastServer::worker_loop() {
+  // Dispatched groups whose responses are not all sent yet. Worker-owned;
+  // a job only flips its own node's `answered` (under queue_mutex_), and
+  // list nodes never move, so the job may hold a pointer to it.
+  std::list<InFlight> in_flight;
+  std::size_t in_flight_requests = 0;
+  const auto any_answered = [&in_flight] {
+    return std::any_of(in_flight.begin(), in_flight.end(),
+                       [](const InFlight& g) { return g.answered; });
+  };
+
   while (true) {
-    std::vector<Pending> batch;
     std::vector<AdminOp> admin;
+    std::list<InFlight> answered;
+    bool stopping = false;
     {
       std::unique_lock<std::mutex> lock(queue_mutex_);
-      queue_cv_.wait(lock, [this] {
+      queue_cv_.wait(lock, [&] {
         return stop_requested_.load(std::memory_order_acquire) ||
-               !queue_.empty() || !admin_.empty();
+               !admin_.empty() || any_answered() ||
+               (!queue_.empty() && in_flight_requests < config_.batch_max);
       });
+      stopping = stop_requested_.load(std::memory_order_acquire);
       while (!admin_.empty()) {
         admin.push_back(std::move(admin_.front()));
         admin_.pop_front();
       }
-      const bool stopping = stop_requested_.load(std::memory_order_acquire);
-      const std::size_t take =
-          stopping ? queue_.size()
-                   : std::min(queue_.size(), config_.batch_max);
-      for (std::size_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
+      for (auto it = in_flight.begin(); it != in_flight.end();) {
+        const auto next = std::next(it);
+        if (it->answered) {
+          in_flight_requests -= it->requests;
+          answered.splice(answered.end(), in_flight, it);
+        }
+        it = next;
       }
-      if (stopping && batch.empty() && admin.empty()) return;
     }
+    // The pins drop here, off the lock, once each job has returned (it
+    // flags `answered` just before it does).
+    for (auto& g : answered) g.done.wait();
+    answered.clear();
 
-    // Admin ops first: a swap must not sit behind a long batch, and the
-    // single worker thread is exactly what makes swap-vs-serve ordering
-    // deterministic.
+    // A swap, like a shutdown, first waits for every dispatched group: a
+    // group answers on the model it was dispatched with, and nothing
+    // dispatched after the ack sees the old one. The single worker thread
+    // is what makes that ordering deterministic.
+    if (stopping || !admin.empty()) {
+      for (auto& g : in_flight) g.done.wait();
+      in_flight.clear();
+      in_flight_requests = 0;
+    }
     for (auto& op : admin) {
       const auto outcome = registry_.swap(op.swap.artifact_path);
       wire::SwapAck ack;
@@ -352,14 +388,30 @@ void ForecastServer::worker_loop() {
                  wire::encode_swap_ack(ack));
     }
 
-    if (batch.empty()) continue;
-    if (stop_requested_.load(std::memory_order_acquire)) {
+    // Dispatched-but-unanswered requests never exceed batch_max, which
+    // bounds the admitted work and so gives the shed and watermark
+    // thresholds their meaning.
+    std::vector<Pending> batch;
+    {
+      std::lock_guard<std::mutex> lock(queue_mutex_);
+      const std::size_t take =
+          stopping ? queue_.size()
+                   : std::min(queue_.size(),
+                              config_.batch_max - in_flight_requests);
+      for (std::size_t i = 0; i < take; ++i) {
+        batch.push_back(std::move(queue_.front()));
+        queue_.pop_front();
+      }
+    }
+    if (stopping) {
+      if (batch.empty() && admin.empty()) return;
       // Drain with explicit rejections — a shutdown sheds, it never hangs.
       for (auto& item : batch) {
         reject(item, Status::unavailable("server shutting down"));
       }
       continue;
     }
+    if (batch.empty()) continue;
     m_.batch_size->observe(static_cast<double>(batch.size()));
 
     // Micro-batch grouping: identical (race, origin, horizon, samples,
@@ -374,19 +426,10 @@ void ForecastServer::worker_loop() {
               item.req.num_samples, item.req.seed, item.degraded}]
           .push_back(std::move(item));
     }
-    // Route every group to its race's shard and run them concurrently on
-    // the shard drivers; one race's groups stay serialized on their shard
-    // while different races overlap. The model shared_ptr pinned here is
-    // the drain token — a swap mid-batch cannot destroy engines we are
-    // forecasting on — and joining every future before the next iteration
-    // keeps swap-vs-serve ordering deterministic.
+    // Route every group to its race's shard and run it on the shard's
+    // driver; one race's groups stay serialized (FIFO) on their shard while
+    // different races overlap, and each group answers as soon as it is done.
     const auto model = registry_.active();
-    // `pinned` holds the routed shards until every future below completes
-    // (RaceShard::submit's lifetime contract: jobs never own their shard).
-    std::vector<std::shared_ptr<core::RaceShard>> pinned;
-    std::vector<std::future<void>> dispatched;
-    pinned.reserve(groups.size());
-    dispatched.reserve(groups.size());
     for (auto& [key, members] : groups) {
       m_.batch_groups->add(1);
       if (members.size() > 1) m_.batch_dedup_hits->add(members.size() - 1);
@@ -394,30 +437,39 @@ void ForecastServer::worker_loop() {
       if (model && model->fleet) {
         shard = model->fleet->shard_for(std::get<0>(key));
       }
-      if (shard) {
-        core::RaceShard* const s = shard.get();
-        pinned.push_back(std::move(shard));
-        dispatched.push_back(s->submit(
-            [this, &members, &model, s] { process_group(members, model, s); }));
-      } else {
-        process_group(members, model, nullptr);  // reject path: no model
+      if (!shard) {
+        process_group(members, model.get(), nullptr);  // reject path: no model
+        continue;
       }
-    }
-    for (auto& f : dispatched) {
-      try {
-        f.get();
-      } catch (...) {
-        // A torn-down driver surfaces broken_promise here; the affected
-        // requests were already answered or their connections are dead.
-      }
+      InFlight& g = in_flight.emplace_back();
+      g.model = model;
+      g.shard = std::move(shard);
+      g.requests = members.size();
+      in_flight_requests += g.requests;
+      core::RaceShard* const s = g.shard.get();
+      // The job owns its requests and borrows the model and the shard,
+      // which `g` pins until the job has returned.
+      g.done = s->submit([this, members = std::move(members),
+                          model = model.get(), s, &g]() mutable {
+        try {
+          process_group(members, model, s);
+        } catch (...) {
+          // The group's requests go unanswered (their clients time out),
+          // but its slot must still come back.
+        }
+        {
+          std::lock_guard<std::mutex> lock(queue_mutex_);
+          g.answered = true;
+        }
+        queue_cv_.notify_one();
+      });
     }
   }
 }
 
-void ForecastServer::process_group(
-    std::vector<Pending>& members,
-    const std::shared_ptr<const ServingModel>& model,
-    core::RaceShard* shard) {
+void ForecastServer::process_group(std::vector<Pending>& members,
+                                   const ServingModel* model,
+                                   core::RaceShard* shard) {
   const auto now = Clock::now();
   // Requests whose budget evaporated in the queue are explicit sheds.
   std::vector<Pending> live;
@@ -442,13 +494,13 @@ void ForecastServer::process_group(
   // The race snapshot was pinned at admission; there is no re-lookup (and
   // no lock) here, and no "race vanished" path — an admitted request is
   // always answered against the state it was admitted with.
-  const std::shared_ptr<const RaceEntry>& entry = live.front().race;
-  if (req.origin_lap >= entry->race->num_laps()) {
+  const telemetry::RaceLog& race = *live.front().race;
+  if (req.origin_lap >= race.num_laps()) {
     for (auto& item : live) {
       reject(item, Status::out_of_range(
                        "origin_lap " + std::to_string(req.origin_lap) +
                        " beyond race (" +
-                       std::to_string(entry->race->num_laps()) + " laps)"));
+                       std::to_string(race.num_laps()) + " laps)"));
     }
     return;
   }
@@ -484,7 +536,7 @@ void ForecastServer::process_group(
     bool cached = false;
     if (const auto& cache = engine->forecast_cache()) {
       core::ForecastCacheKey key{
-          entry->digest,
+          race.digest(),
           base,
           engine->model_version(),
           req.origin_lap,
@@ -497,7 +549,7 @@ void ForecastServer::process_group(
       }
     }
     if (!cached) {
-      samples = registry_.fallback()->forecast(*entry->race, req.origin_lap,
+      samples = registry_.fallback()->forecast(race, req.origin_lap,
                                                req.horizon, req.num_samples,
                                                rng);
     }
@@ -527,7 +579,7 @@ void ForecastServer::process_group(
     const auto hits_before = core::CacheCounters::instance().hits();
     core::RaceSamples samples;
     try {
-      samples = engine->forecast(*entry->race, req.origin_lap, req.horizon,
+      samples = engine->forecast(race, req.origin_lap, req.horizon,
                                  req.num_samples, rng);
     } catch (const std::exception& e) {
       for (auto& item : live) {

@@ -6,19 +6,23 @@
 //     degraded tier), explicitly rejected, or its whole connection dropped
 //     (slow-client guard) the moment it is parsed. Nothing unbounded ever
 //     reaches the compute side.
-//   * worker thread — pops up to batch_max admitted requests, groups the
-//     compatible ones (same race/origin/horizon/samples/seed) into one
-//     engine call each (cross-request micro-batching; duplicates ride the
-//     PR-6 forecast cache for free), routes each group to the active
-//     model's RaceShard by race id (core/fleet_engine.hpp) and runs it on
-//     that shard's driver — so groups for different races compute
-//     concurrently, each armed with its group's tightest remaining budget,
-//     while per-shard engine state stays single-writer. The worker joins
-//     every dispatched group before taking the next batch, which keeps
-//     swap-vs-serve ordering deterministic.
+//   * worker thread — takes admitted requests, at most batch_max minus the
+//     requests already dispatched and unanswered, groups the compatible
+//     ones (same race/origin/horizon/samples/seed) into one engine call
+//     each (cross-request micro-batching; duplicates ride the forecast
+//     cache for free), routes each group to the active model's RaceShard
+//     by race id (core/fleet_engine.hpp) and runs it on that shard's
+//     driver — so groups for different races compute concurrently, each
+//     armed with its group's tightest remaining budget, while per-shard
+//     engine state stays single-writer. Each group answers as soon as it
+//     is done; the worker holds its model and shard pins in an in-flight
+//     list until then and takes more work as groups finish, so a slow
+//     group holds back only its own shard. A swap or stop() first waits
+//     for every in-flight group, which keeps swap-vs-serve ordering
+//     deterministic.
 //
 // Race lookups are admission-time only: the io thread resolves the race to
-// an immutable RaceEntry snapshot from the bucket-sharded RaceTable and
+// an immutable RaceLog snapshot from the bucket-sharded RaceTable and
 // pins it in the queued request, so the worker hot path takes no race-table
 // lock at all (serve/race_table.hpp).
 //
@@ -68,7 +72,8 @@ struct ServerConfig {
   std::size_t queue_capacity = 128;
   /// Queue depth at which admission degrades to cache/fallback-only.
   std::size_t overload_watermark = 96;
-  /// Max requests one worker iteration coalesces.
+  /// Max requests one worker iteration coalesces, and the cap on requests
+  /// dispatched to the shards but not yet answered.
   std::size_t batch_max = 16;
   /// Deadline applied when a request carries none (microseconds).
   std::uint32_t default_deadline_us = 100000;
@@ -118,7 +123,7 @@ class ForecastServer {
     /// Race snapshot pinned at admission: the worker never re-locks the
     /// race table, and a concurrent add_race cannot change the state this
     /// request is answered against.
-    std::shared_ptr<const RaceEntry> race;
+    std::shared_ptr<const telemetry::RaceLog> race;
     Clock::time_point arrival;
     Clock::time_point deadline;
     bool degraded = false;  // admitted above the watermark
@@ -144,18 +149,17 @@ class ForecastServer {
   /// engine call on `shard`; `members` all receive the same payload under
   /// their own request ids. Runs on the shard's driver thread (or the
   /// worker thread itself when no model/shard is available to route to —
-  /// then `shard` is null). The worker loop pins the shard shared_ptrs for
-  /// the whole batch, so a raw pointer is safe here and the job never owns
-  /// the shard (RaceShard::submit's lifetime contract).
-  void process_group(std::vector<Pending>& members,
-                     const std::shared_ptr<const ServingModel>& model,
+  /// then `shard` is null). The worker's in-flight entry for the group pins
+  /// `model` and `shard` until the job returns, so raw pointers are safe
+  /// here and the job never owns the shard (RaceShard::submit's lifetime
+  /// contract).
+  void process_group(std::vector<Pending>& members, const ServingModel* model,
                      core::RaceShard* shard);
   void respond(const std::shared_ptr<Conn>& conn,
                const wire::ForecastResponse& response);
   void send_frame(const std::shared_ptr<Conn>& conn, wire::FrameType type,
                   std::span<const std::uint8_t> payload);
   void reject(const Pending& item, util::Status status);
-  void finish(const Pending& item, wire::Tier tier);
 
   ModelRegistry& registry_;
   ServerConfig config_;

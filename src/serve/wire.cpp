@@ -4,7 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/forecast_cache.hpp"  // Fnv1a
+#include "util/fnv1a.hpp"
 
 namespace ranknet::serve::wire {
 
@@ -20,7 +20,7 @@ constexpr std::size_t kMaxCars = 4096;
 constexpr std::size_t kMaxHorizon = 4096;
 
 std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
-  core::Fnv1a h;
+  util::Fnv1a h;
   h.update_bytes(bytes.data(), bytes.size());
   return h.digest();
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "util/fnv1a.hpp"
 #include "util/string_util.hpp"
 
 namespace ranknet::telemetry {
@@ -45,6 +46,25 @@ void RaceLog::build_views() {
     num_laps_ = std::max(num_laps_, r.lap);
   }
   for (const auto& [id, _] : cars_) car_ids_.push_back(id);
+  digest_ = compute_digest();
+}
+
+std::uint64_t RaceLog::compute_digest() const {
+  util::Fnv1a h;
+  const std::string race_id = id();
+  h.update_bytes(race_id.data(), race_id.size());
+  h.update_u64(static_cast<std::uint64_t>(num_laps_));
+  for (const auto& [car_id, car] : cars_) {
+    h.update_u64(static_cast<std::uint64_t>(car_id));
+    h.update_u64(static_cast<std::uint64_t>(car.laps()));
+    for (std::size_t t = 0; t < car.laps(); ++t) {
+      h.update_double(car.rank[t]);
+      h.update_double(car.lap_time[t]);
+      h.update_u64(static_cast<std::uint64_t>(car.lap_status[t]));
+      h.update_u64(static_cast<std::uint64_t>(car.track_status[t]));
+    }
+  }
+  return h.digest();
 }
 
 const CarSeries& RaceLog::car(int car_id) const {

@@ -3,6 +3,7 @@
 // pipeline consumes. CSV round-trip matches the Fig. 1(a) table layout.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -43,9 +44,11 @@ struct CarSeries {
   std::vector<std::size_t> pit_laps() const;
 };
 
+/// Immutable once built: every constructor ends in build_views(), which
+/// also fixes the digest.
 class RaceLog {
  public:
-  RaceLog() = default;
+  RaceLog() : RaceLog(EventInfo{}, {}) {}
   RaceLog(EventInfo info, std::vector<LapRecord> records);
 
   const EventInfo& info() const { return info_; }
@@ -71,14 +74,22 @@ class RaceLog {
   /// A short identifier like "Indy500-2018".
   std::string id() const;
 
+  /// FNV-1a over everything a forecast reads: id, lap count, and every
+  /// per-car series (rank, lap time, lap/track status) in ascending car-id
+  /// order. Computed once at construction, so cache keys and race caches
+  /// can key on content in O(1).
+  std::uint64_t digest() const { return digest_; }
+
  private:
   void build_views();
+  std::uint64_t compute_digest() const;
 
   EventInfo info_;
   std::vector<LapRecord> records_;
   std::vector<int> car_ids_;
   std::map<int, CarSeries> cars_;
   int num_laps_ = 0;
+  std::uint64_t digest_ = 0;
 };
 
 }  // namespace ranknet::telemetry

@@ -46,6 +46,21 @@ class ForecasterContract : public ::testing::Test {
     delete race_;
   }
 
+  /// An untrained one-block Transformer with a 12-lap inference context.
+  static std::shared_ptr<core::TransformerSeqModel> TinyTransformer() {
+    core::TransformerConfig cfg;
+    cfg.cov_dim = features::CovariateConfig{}.dim();
+    cfg.model_dim = 16;
+    cfg.heads = 4;
+    cfg.blocks = 1;
+    cfg.embed_dim = 2;
+    cfg.vocab = vocab_->size();
+    cfg.infer_context = 12;
+    auto tf = std::make_shared<core::TransformerSeqModel>(cfg);
+    tf->set_scaler(features::StandardScaler(17.0, 9.0));
+    return tf;
+  }
+
   static telemetry::RaceLog* race_;
   static features::CarVocab* vocab_;
   static std::shared_ptr<core::LstmSeqModel> model_;
@@ -165,16 +180,7 @@ TEST_F(ForecasterContract, PitModelSourceRequiresPitModel) {
 }
 
 TEST_F(ForecasterContract, TransformerForecasterContract) {
-  core::TransformerConfig cfg;
-  cfg.cov_dim = features::CovariateConfig{}.dim();
-  cfg.model_dim = 16;
-  cfg.heads = 4;
-  cfg.blocks = 1;
-  cfg.embed_dim = 2;
-  cfg.vocab = vocab_->size();
-  cfg.infer_context = 12;
-  auto tf = std::make_shared<core::TransformerSeqModel>(cfg);
-  tf->set_scaler(features::StandardScaler(17.0, 9.0));
+  const auto tf = TinyTransformer();
   core::TransformerForecaster f(tf, nullptr, *vocab_,
                                 features::CovariateConfig{},
                                 core::StatusSource::kOracle, "tf");
@@ -230,16 +236,7 @@ TEST_F(ForecasterContract, RaceCacheFollowsALongerLogUnderTheSameId) {
   EXPECT_TRUE(
       SamplesIdentical(again, mlp()->forecast(corrected, 60, 2, 4, rng_e)));
 
-  core::TransformerConfig cfg;
-  cfg.cov_dim = features::CovariateConfig{}.dim();
-  cfg.model_dim = 16;
-  cfg.heads = 4;
-  cfg.blocks = 1;
-  cfg.embed_dim = 2;
-  cfg.vocab = vocab_->size();
-  cfg.infer_context = 12;
-  auto tf = std::make_shared<core::TransformerSeqModel>(cfg);
-  tf->set_scaler(features::StandardScaler(17.0, 9.0));
+  const auto tf = TinyTransformer();
   const auto transformer = [&] {
     return std::make_unique<core::TransformerForecaster>(
         tf, pit_, *vocab_, features::CovariateConfig{},
@@ -253,6 +250,49 @@ TEST_F(ForecasterContract, RaceCacheFollowsALongerLogUnderTheSameId) {
   const auto tf_fresh = transformer()->forecast(*race_, 100, 2, 3, tf_b);
   EXPECT_EQ(tf_fresh.size(), 31u);
   EXPECT_TRUE(SamplesIdentical(tf_late, tf_fresh));
+}
+
+TEST_F(ForecasterContract, RaceCacheFollowsACorrectedLogUnderTheSameId) {
+  // A late record that corrects laps already seen — here one car's rank on
+  // laps 30-59 — keeps the race id, the car count and the record count.
+  // The per-race caches key on content, so the corrected log must decode
+  // from its own traces, not the original's.
+  const int car = race_->car_ids()[1];
+  auto records = race_->records();
+  for (auto& rec : records) {
+    if (rec.car_id == car && rec.lap >= 30 && rec.lap <= 59) {
+      rec.rank = rec.rank == 1 ? 2 : rec.rank - 1;
+    }
+  }
+  const telemetry::RaceLog corrected(race_->info(), std::move(records));
+  ASSERT_EQ(corrected.id(), race_->id());
+  ASSERT_EQ(corrected.num_records(), race_->num_records());
+  ASSERT_NE(corrected.digest(), race_->digest());
+
+  const auto mlp = [&] {
+    return std::make_unique<core::RankNetForecaster>(
+        model_, PitsEveryFewLaps(), *vocab_, features::CovariateConfig{},
+        core::StatusSource::kPitModel, "mlp");
+  };
+  const auto reused = mlp();
+  util::Rng warm(21), rng_a(21), rng_b(21);
+  ASSERT_FALSE(reused->forecast(*race_, 60, 2, 4, warm).empty());
+  const auto again = reused->forecast(corrected, 60, 2, 4, rng_a);
+  EXPECT_TRUE(
+      SamplesIdentical(again, mlp()->forecast(corrected, 60, 2, 4, rng_b)));
+
+  const auto tf = TinyTransformer();
+  const auto transformer = [&] {
+    return std::make_unique<core::TransformerForecaster>(
+        tf, pit_, *vocab_, features::CovariateConfig{},
+        core::StatusSource::kPitModel, "tf");
+  };
+  const auto tf_reused = transformer();
+  util::Rng tf_warm(22), tf_a(22), tf_b(22);
+  ASSERT_FALSE(tf_reused->forecast(*race_, 60, 2, 3, tf_warm).empty());
+  const auto tf_again = tf_reused->forecast(corrected, 60, 2, 3, tf_a);
+  EXPECT_TRUE(SamplesIdentical(
+      tf_again, transformer()->forecast(corrected, 60, 2, 3, tf_b)));
 }
 
 TEST_F(ForecasterContract, WindowedStatusRealizationMatchesFullBuild) {

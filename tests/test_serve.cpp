@@ -2,7 +2,8 @@
 // ForecastServer's admission/batching/degradation behaviour, client retry,
 // and zero-downtime hot-swap with automatic rollback — all over real AF_UNIX
 // sockets against a live server. This binary is also the `serve` sanitizer
-// gate (serve-tsan preset): every test tears its server down cleanly.
+// gate (serve-tsan and serve-asan presets): every test tears its server
+// down cleanly.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,6 +12,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,7 +27,9 @@
 #include "serve/wire.hpp"
 #include "simulator/fault_injector.hpp"
 #include "simulator/season.hpp"
+#include "telemetry/stream_ingestor.hpp"
 #include "test_support.hpp"
+#include "util/fnv1a.hpp"
 #include "util/socket.hpp"
 
 namespace {
@@ -45,6 +49,54 @@ serve::ModelFactory affine_factory(int partition_delay_us = 0) {
     model->set_partition_delay_us(partition_delay_us);
     return std::shared_ptr<core::RaceForecaster>(std::move(model));
   };
+}
+
+/// Spins until the named counter reaches `target`; false after 10 s.
+bool wait_for_counter(const char* name, std::uint64_t target) {
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (counter_value(name) < target) {
+    if (std::chrono::steady_clock::now() > until) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  return true;
+}
+
+void send_frame(util::UnixStream& stream, wire::FrameType type,
+                const std::vector<std::uint8_t>& payload) {
+  const auto frame = wire::encode_frame(type, payload);
+  ASSERT_TRUE(stream.send_all(frame.data(), frame.size(), 2.0).ok());
+}
+
+struct Frame {
+  wire::FrameType type;
+  std::vector<std::uint8_t> payload;
+};
+
+/// One checksum-verified frame; an error status once the stream is closed
+/// or nothing arrives within `timeout_seconds`.
+util::Result<Frame> recv_frame(util::UnixStream& stream,
+                               double timeout_seconds) {
+  std::uint8_t header_bytes[wire::kHeaderSize];
+  if (auto st = stream.recv_all(header_bytes, sizeof(header_bytes),
+                                timeout_seconds);
+      !st.ok()) {
+    return st;
+  }
+  const auto header = wire::decode_header(header_bytes);
+  if (!header.ok()) return header.status();
+  Frame frame{header.value().type,
+              std::vector<std::uint8_t>(header.value().payload_len)};
+  if (auto st = stream.recv_all(frame.payload.data(), frame.payload.size(),
+                                timeout_seconds);
+      !st.ok()) {
+    return st;
+  }
+  if (auto st = wire::verify_payload(header.value(), frame.payload);
+      !st.ok()) {
+    return st;
+  }
+  return frame;
 }
 
 // One live server + registry + preloaded race per test.
@@ -732,11 +784,11 @@ TEST(RaceTable, SnapshotFindSurvivesConcurrentReplacement) {
 
   auto snapshot = table.find(id);
   ASSERT_NE(snapshot, nullptr);
-  const auto digest_before = snapshot->digest;
+  const auto digest_before = snapshot->digest();
 
   // Writers replacing the entry and readers resolving it, concurrently.
-  // Every successful find must return a coherent entry (race + matching
-  // digest); the snapshot taken above must stay untouched.
+  // Every successful find must return a coherent entry; the snapshot taken
+  // above must stay untouched.
   std::atomic<int> bad{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
@@ -748,16 +800,62 @@ TEST(RaceTable, SnapshotFindSurvivesConcurrentReplacement) {
               /*base_seed=*/static_cast<std::uint64_t>(i)));
         } else {
           auto e = table.find(id);
-          if (!e || !e->race || e->race->id() != id) bad.fetch_add(1);
+          if (!e || e->id() != id) bad.fetch_add(1);
         }
       }
     });
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(bad.load(), 0);
-  EXPECT_EQ(snapshot->digest, digest_before);  // snapshot is immutable
+  EXPECT_EQ(snapshot->digest(), digest_before);  // snapshot is immutable
   EXPECT_EQ(table.find("no-such-race"), nullptr);
   EXPECT_EQ(table.size(), 1u);  // replacements, not duplicates
+}
+
+/// The digest RaceLog documents, recomputed from the log's series.
+std::uint64_t recomputed_digest(const telemetry::RaceLog& race) {
+  util::Fnv1a h;
+  const std::string id = race.id();
+  h.update_bytes(id.data(), id.size());
+  h.update_u64(static_cast<std::uint64_t>(race.num_laps()));
+  for (int car_id : race.car_ids()) {
+    const auto& car = race.car(car_id);
+    h.update_u64(static_cast<std::uint64_t>(car_id));
+    h.update_u64(static_cast<std::uint64_t>(car.laps()));
+    for (std::size_t t = 0; t < car.laps(); ++t) {
+      h.update_double(car.rank[t]);
+      h.update_double(car.lap_time[t]);
+      h.update_u64(static_cast<std::uint64_t>(car.lap_status[t]));
+      h.update_u64(static_cast<std::uint64_t>(car.track_status[t]));
+    }
+  }
+  return h.digest();
+}
+
+TEST(RaceDigest, StoredDigestMatchesRecomputationOnEveryConstructionPath) {
+  const auto simulated =
+      sim::simulate_race({"Iowa", 2018, 40, sim::Usage::kTest});
+  EXPECT_EQ(simulated.digest(), recomputed_digest(simulated));
+
+  const auto decoded = wire::decode_race(wire::encode_race(simulated));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
+  EXPECT_EQ(decoded.value().digest(), recomputed_digest(decoded.value()));
+  EXPECT_EQ(decoded.value().digest(), simulated.digest());
+
+  // Ingested with one record lost, so the ingestor imputes a lap.
+  telemetry::StreamIngestor ingestor;
+  const auto& records = simulated.records();
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    if (i != records.size() / 2) (void)ingestor.push(records[i]);
+  }
+  const auto ingested = ingestor.finalize(simulated.info());
+  ASSERT_TRUE(ingested.ok()) << ingested.status().to_string();
+  EXPECT_EQ(ingested.value().digest(), recomputed_digest(ingested.value()));
+
+  const telemetry::RaceLog copy = ingested.value();
+  EXPECT_EQ(copy.digest(), ingested.value().digest());
+  const telemetry::RaceLog empty;
+  EXPECT_EQ(empty.digest(), recomputed_digest(empty));
 }
 
 TEST_F(ServeTest, ShardedServingBytesMatchSingleShard) {
@@ -851,6 +949,220 @@ TEST_F(ServeTest, AddRaceUnderLoadNeverBlocksOrDropsServing) {
         ("serve.shard." + std::to_string(s) + ".groups").c_str());
   }
   EXPECT_GT(shard_groups, 0u);
+}
+
+// --- per-group completion ---------------------------------------------------
+
+TEST_F(ServeTest, SlowGroupDoesNotHoldBackOtherShards) {
+  // A cold forecast on one shard is slow. A request for a race on another
+  // shard that arrives while it computes is a cache hit there, and must be
+  // answered first: groups answer as they finish, with no batch barrier.
+  serve::ServerConfig cfg;
+  cfg.socket_path = test_support::unique_temp_path("serve_no_barrier.sock");
+  serve::RegistryConfig reg_cfg;
+  reg_cfg.shards = 4;
+  boot(cfg, reg_cfg, /*partition_delay_us=*/10000);
+
+  const auto fleet = registry_->active()->fleet;
+  const auto slow_shard = fleet->shard_for(race_->id())->index();
+  std::optional<telemetry::RaceLog> other;
+  for (const char* event : {"Pocono", "Texas", "Iowa"}) {
+    for (int year : {2018, 2019}) {
+      auto race = sim::simulate_race({event, year, 60, sim::Usage::kTest});
+      if (!other && fleet->shard_for(race.id())->index() != slow_shard) {
+        other = std::move(race);
+      }
+    }
+  }
+  ASSERT_TRUE(other.has_value()) << "no candidate race on another shard";
+  server_->add_race(*other);
+
+  auto fast = make_request(2, 7);
+  fast.race_id = other->id();
+  fast.deadline_us = 1500000;
+  serve::ForecastClient client(client_config());
+  const auto warm = client.forecast(fast);
+  ASSERT_TRUE(warm.ok() && warm.value().ok());
+  ASSERT_EQ(warm.value().tier, wire::Tier::kFull);
+
+  auto stream = util::UnixStream::connect(socket_path_, 1.0);
+  ASSERT_TRUE(stream.ok());
+  const auto groups = counter_value("serve.batch.groups");
+  auto slow = make_request(1, 1);
+  slow.deadline_us = 1500000;
+  send_frame(stream.value(), wire::FrameType::kForecastRequest,
+             wire::encode_forecast_request(slow));
+  ASSERT_TRUE(wait_for_counter("serve.batch.groups", groups + 1));
+  fast.request_id = 3;
+  send_frame(stream.value(), wire::FrameType::kForecastRequest,
+             wire::encode_forecast_request(fast));
+
+  std::vector<std::uint64_t> order;
+  for (int i = 0; i < 2; ++i) {
+    const auto frame = recv_frame(stream.value(), 10.0);
+    ASSERT_TRUE(frame.ok()) << frame.status().to_string();
+    const auto response = wire::decode_forecast_response(frame.value().payload);
+    ASSERT_TRUE(response.ok());
+    EXPECT_TRUE(response.value().ok()) << response.value().message;
+    order.push_back(response.value().request_id);
+  }
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{3, 1}))
+      << "the cached request waited behind the slow group on another shard";
+}
+
+TEST_F(ServeTest, SwapWaitsForInFlightGroupsAndAppliesToLaterRequests) {
+  serve::ServerConfig cfg;
+  cfg.socket_path = test_support::unique_temp_path("serve_swap_inflight.sock");
+  boot(cfg, {}, /*partition_delay_us=*/10000);
+
+  auto stream = util::UnixStream::connect(socket_path_, 1.0);
+  ASSERT_TRUE(stream.ok());
+  const auto groups = counter_value("serve.batch.groups");
+  auto slow = make_request(1, 1);
+  slow.deadline_us = 1500000;
+  send_frame(stream.value(), wire::FrameType::kForecastRequest,
+             wire::encode_forecast_request(slow));
+  ASSERT_TRUE(wait_for_counter("serve.batch.groups", groups + 1));
+  send_frame(stream.value(), wire::FrameType::kSwapModel,
+             wire::encode_swap_request({kScaledArtifact}));
+
+  // The in-flight group answers on the model it was dispatched with, and
+  // before the ack.
+  const auto first = recv_frame(stream.value(), 10.0);
+  ASSERT_TRUE(first.ok()) << first.status().to_string();
+  ASSERT_EQ(first.value().type, wire::FrameType::kForecastResponse);
+  const auto response = wire::decode_forecast_response(first.value().payload);
+  ASSERT_TRUE(response.ok());
+  EXPECT_TRUE(response.value().ok()) << response.value().message;
+  EXPECT_EQ(response.value().request_id, 1u);
+  EXPECT_EQ(response.value().model_version, 1u);
+
+  const auto second = recv_frame(stream.value(), 10.0);
+  ASSERT_TRUE(second.ok()) << second.status().to_string();
+  ASSERT_EQ(second.value().type, wire::FrameType::kSwapAck);
+  const auto ack = wire::decode_swap_ack(second.value().payload);
+  ASSERT_TRUE(ack.ok());
+  EXPECT_EQ(ack.value().action, wire::SwapAction::kPromoted);
+  EXPECT_EQ(ack.value().active_version, 2u);
+
+  for (std::uint64_t id = 2; id <= 4; ++id) {
+    auto req = make_request(id, id);
+    req.deadline_us = 1500000;
+    send_frame(stream.value(), wire::FrameType::kForecastRequest,
+               wire::encode_forecast_request(req));
+  }
+  for (int i = 0; i < 3; ++i) {
+    const auto frame = recv_frame(stream.value(), 10.0);
+    ASSERT_TRUE(frame.ok()) << frame.status().to_string();
+    const auto later = wire::decode_forecast_response(frame.value().payload);
+    ASSERT_TRUE(later.ok());
+    EXPECT_TRUE(later.value().ok()) << later.value().message;
+    EXPECT_EQ(later.value().model_version, 2u)
+        << "request " << later.value().request_id << " sent after the ack";
+  }
+}
+
+TEST_F(ServeTest, StopWithGroupsInFlightAnswersOrClosesEveryRequest) {
+  serve::ServerConfig cfg;
+  cfg.socket_path = test_support::unique_temp_path("serve_stop_inflight.sock");
+  boot(cfg, {}, /*partition_delay_us=*/5000);
+
+  constexpr int kConns = 3;
+  constexpr int kPerConn = 4;
+  std::vector<util::UnixStream> streams;
+  const auto groups = counter_value("serve.batch.groups");
+  for (int c = 0; c < kConns; ++c) {
+    auto stream = util::UnixStream::connect(socket_path_, 1.0);
+    ASSERT_TRUE(stream.ok());
+    streams.push_back(std::move(stream).value());
+    for (int i = 0; i < kPerConn; ++i) {
+      auto req = make_request(static_cast<std::uint64_t>(c * 10 + i),
+                              static_cast<std::uint64_t>(c * 10 + i));
+      req.deadline_us = 1500000;
+      send_frame(streams.back(), wire::FrameType::kForecastRequest,
+                 wire::encode_forecast_request(req));
+    }
+  }
+  ASSERT_TRUE(wait_for_counter("serve.batch.groups", groups + 1));
+  server_->stop();
+  EXPECT_FALSE(server_->running());
+
+  // Every request is answered (served, or rejected as the queue drains) or
+  // its connection is closed; nothing waits for a reply that never comes.
+  const auto stopped = std::chrono::steady_clock::now();
+  int served = 0;
+  for (auto& stream : streams) {
+    for (int i = 0; i < kPerConn; ++i) {
+      const auto frame = recv_frame(stream, 5.0);
+      if (!frame.ok()) break;  // closed by the stopped server
+      const auto response =
+          wire::decode_forecast_response(frame.value().payload);
+      ASSERT_TRUE(response.ok());
+      if (response.value().ok()) ++served;
+    }
+  }
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          stopped)
+                .count(),
+            4.0)
+      << "a connection stayed open with a request left unanswered";
+  EXPECT_GT(served, 0) << "the dispatched group was dropped, not answered";
+}
+
+TEST_F(ServeTest, DispatchedRequestsAreCappedAtBatchMax) {
+  serve::ServerConfig cfg;
+  cfg.socket_path = test_support::unique_temp_path("serve_inflight_cap.sock");
+  cfg.batch_max = 2;
+  boot(cfg, {}, /*partition_delay_us=*/5000);
+
+  // Groups are counted at dispatch and tiers are booked before each
+  // response is sent; here every group holds one request. Reading the group
+  // count first can only undercount what is unanswered, never overcount.
+  const auto settled = [] {
+    std::uint64_t n = 0;
+    for (const char* tier : {"serve.tier.full", "serve.tier.cached",
+                             "serve.tier.partial", "serve.tier.fallback",
+                             "serve.tier.rejected"}) {
+      n += counter_value(tier);
+    }
+    return static_cast<std::int64_t>(n);
+  };
+  const auto groups_before =
+      static_cast<std::int64_t>(counter_value("serve.batch.groups"));
+  const auto settled_before = settled();
+  std::atomic<bool> done{false};
+  std::int64_t max_unanswered = 0;
+  std::thread sampler([&] {
+    while (!done.load()) {
+      const auto dispatched =
+          static_cast<std::int64_t>(counter_value("serve.batch.groups")) -
+          groups_before;
+      max_unanswered = std::max(max_unanswered,
+                                dispatched - (settled() - settled_before));
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
+
+  auto stream = util::UnixStream::connect(socket_path_, 1.0);
+  ASSERT_TRUE(stream.ok());
+  constexpr int kRequests = 10;
+  for (std::uint64_t id = 1; id <= kRequests; ++id) {
+    auto req = make_request(id, id);  // distinct seeds: ten groups
+    req.deadline_us = 2000000;
+    send_frame(stream.value(), wire::FrameType::kForecastRequest,
+               wire::encode_forecast_request(req));
+  }
+  int answered = 0;
+  for (int i = 0; i < kRequests; ++i) {
+    const auto frame = recv_frame(stream.value(), 10.0);
+    if (!frame.ok()) break;
+    const auto response = wire::decode_forecast_response(frame.value().payload);
+    if (response.ok() && response.value().ok()) ++answered;
+  }
+  done.store(true);
+  sampler.join();
+  EXPECT_EQ(answered, kRequests);
+  EXPECT_LE(max_unanswered, 2) << "more than batch_max requests in flight";
 }
 
 }  // namespace
