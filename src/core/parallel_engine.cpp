@@ -1,8 +1,6 @@
 #include "core/parallel_engine.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <exception>
 #include <future>
@@ -219,28 +217,33 @@ RaceSamples ParallelForecastEngine::forecast_with_base(
   }
   prepare_span.stop();
 
-  // Tier 2 plumbing: tasks observe `expired` cooperatively — a task that
-  // starts after the deadline returns unfinished immediately instead of
-  // wedging the forecast behind a slow queue.
-  auto expired = std::make_shared<std::atomic<bool>>(false);
+  // Tier 2: one rule whether blocks run on pool workers or inline inside
+  // submit(). A block counts as primary only if it completed by the
+  // deadline, and a block that would start after the deadline does not
+  // run, so an overrun forecast stops at the first late block instead of
+  // running to the end.
+  const double deadline = policy_.deadline_seconds;
+  const auto past_deadline = [&] {
+    return deadline > 0.0 && wall.seconds() > deadline;
+  };
   struct TaskResult {
     RaceSamples part;
     double secs = 0.0;
-    bool completed = false;
+    bool on_time = false;  // completed by the deadline
   };
   obs::SpanScope partition_span(obs::Stage::kPartition);
   std::vector<std::future<TaskResult>> futures;
   futures.reserve(blocks.size());
   for (const auto& [begin, end] : blocks) {
-    futures.push_back(pool_.submit([&, expired, begin = begin, end = end] {
+    futures.push_back(pool_.submit([&, begin = begin, end = end] {
       TaskResult result;
-      if (expired->load(std::memory_order_relaxed)) return result;
+      if (past_deadline()) return result;
       util::Timer task_timer;
       result.part = partitioned_->forecast_partition(
           race, origin_lap, horizon, num_samples, base,
           std::span<const int>(cars.data() + begin, end - begin));
       result.secs = task_timer.seconds();
-      result.completed = true;
+      result.on_time = !past_deadline();
       EngineCounters::instance().record_task(result.secs);
       return result;
     }));
@@ -248,35 +251,19 @@ RaceSamples ParallelForecastEngine::forecast_with_base(
 
   // Collect. Every future is drained even on error/deadline — tasks capture
   // the stack-local `cars` by reference, so abandoning a future here would
-  // leave a worker reading freed stack memory.
+  // leave a worker reading freed stack memory. A block that ran past the
+  // deadline is discarded even though it finished: its cars go to the
+  // rescue tier, so deadline_hits always comes with deadline_fallback_cars.
   Degradation deg;
   std::vector<TaskResult> finished(futures.size());  // kept primary parts
   std::vector<int> rescue = damaged;  // cars the fallback must serve
   std::exception_ptr first_error;
   double task_seconds = 0.0;
-  const double deadline = policy_.deadline_seconds;
   for (std::size_t i = 0; i < futures.size(); ++i) {
-    auto& f = futures[i];
-    // A block whose wait times out is abandoned: even though the blocking
-    // get() below may let it run to completion (the future must be drained
-    // for `cars` lifetime), its result is discarded and its cars go to the
-    // rescue tier. Counting a late-but-finished block as `full_cars` would
-    // let a forecast report deadline_hits with zero deadline_fallback_cars.
-    bool timed_out = false;
-    if (deadline > 0.0 && !expired->load(std::memory_order_relaxed)) {
-      const double remaining = deadline - wall.seconds();
-      if (remaining <= 0.0 ||
-          f.wait_for(std::chrono::duration<double>(remaining)) ==
-              std::future_status::timeout) {
-        expired->store(true, std::memory_order_relaxed);
-        ++deg.deadline_hits;
-        timed_out = true;
-      }
-    }
     const auto& [begin, end] = blocks[i];
     TaskResult result;
     try {
-      result = f.get();
+      result = futures[i].get();
     } catch (...) {
       ++deg.task_failures;
       deg.error_fallback_cars += end - begin;
@@ -285,7 +272,7 @@ RaceSamples ParallelForecastEngine::forecast_with_base(
       continue;
     }
     task_seconds += result.secs;
-    if (result.completed && !timed_out) {
+    if (result.on_time) {
       deg.full_cars += end - begin;
       finished[i] = std::move(result);
     } else {
@@ -293,6 +280,7 @@ RaceSamples ParallelForecastEngine::forecast_with_base(
       rescue.insert(rescue.end(), cars.begin() + begin, cars.begin() + end);
     }
   }
+  if (deg.deadline_fallback_cars > 0) deg.deadline_hits = 1;
   deg.damaged_fallback_cars = damaged.size();
   partition_span.stop();
 

@@ -26,8 +26,11 @@
 //   tier 1  per-car fallback when the car's telemetry is too damaged
 //           (policy.series_damaged, fed by telemetry::StreamIngestor),
 //   tier 2  fallback for every car whose task missed the per-forecast
-//           deadline (cooperative cancellation + partial-sample merge:
-//           finished primary partitions are kept) or whose task threw.
+//           deadline or threw. The same rule holds on pool workers and
+//           inline (threads == 0): a block is primary only if it completed
+//           by the deadline, a block that would start after the deadline
+//           does not run, and completed on-time partitions are kept
+//           (partial-sample merge).
 // The fallback must itself be a PartitionableForecaster (CurRank is the
 // canonical choice) and is driven from the same `base` draw, so degraded
 // forecasts stay deterministic. With a default-constructed policy the

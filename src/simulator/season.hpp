@@ -39,8 +39,8 @@ telemetry::RaceLog simulate_race(const RaceSpec& spec,
                                  std::uint64_t base_seed = kDefaultDatasetSeed);
 
 /// Deterministically simulate every Table II race (all 25 track/event/year
-/// combinations, 2013-2019), in table2_specs() order — the season-fleet
-/// workload (bench/season_fleet.cpp replays all of them concurrently).
+/// combinations, 2013-2019), in table2_specs() order — the whole-season
+/// workload (perfbench's season_replay runs it through FleetEngine).
 std::vector<telemetry::RaceLog> simulate_season(
     std::uint64_t base_seed = kDefaultDatasetSeed);
 

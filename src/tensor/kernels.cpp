@@ -85,7 +85,6 @@ namespace detail {
 void gemm_nn_scalar(double alpha, const double* a, const double* b,
                     double beta, double* c, std::size_t m, std::size_t k,
                     std::size_t n) {
-#pragma omp parallel for schedule(static)
   for (std::size_t i = 0; i < m; ++i) {
     double* ci = c + i * n;
     if (beta == 0.0) {
@@ -163,7 +162,6 @@ namespace {
 // C = alpha*A^T*B + beta*C with A (k x m), B (k x n).
 void gemm_tn(double alpha, const double* a, const double* b, double beta,
              double* c, std::size_t m, std::size_t k, std::size_t n) {
-#pragma omp parallel for schedule(static)
   for (std::size_t i = 0; i < m; ++i) {
     double* ci = c + i * n;
     if (beta == 0.0) {
@@ -183,7 +181,6 @@ void gemm_tn(double alpha, const double* a, const double* b, double beta,
 // C = alpha*A*B^T + beta*C with A (m x k), B (n x k): dot products of rows.
 void gemm_nt(double alpha, const double* a, const double* b, double beta,
              double* c, std::size_t m, std::size_t k, std::size_t n) {
-#pragma omp parallel for schedule(static)
   for (std::size_t i = 0; i < m; ++i) {
     const double* ai = a + i * k;
     double* ci = c + i * n;
@@ -199,7 +196,6 @@ void gemm_nt(double alpha, const double* a, const double* b, double beta,
 // C = alpha*A^T*B^T + beta*C with A (k x m), B (n x k). Rare; simple loops.
 void gemm_tt(double alpha, const double* a, const double* b, double beta,
              double* c, std::size_t m, std::size_t k, std::size_t n) {
-#pragma omp parallel for schedule(static)
   for (std::size_t i = 0; i < m; ++i) {
     double* ci = c + i * n;
     for (std::size_t j = 0; j < n; ++j) {

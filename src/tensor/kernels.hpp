@@ -30,7 +30,8 @@
 namespace ranknet::tensor {
 
 /// C = alpha * op(A) * op(B) + beta * C, where op is optional transpose.
-/// Blocked and OpenMP-parallel over rows of C.
+/// Single-threaded; rows of C are computed independently, so callers
+/// parallelize by splitting work across forecasts, not inside a GEMM.
 void gemm(double alpha, ConstMatrixView a, bool trans_a, ConstMatrixView b,
           bool trans_b, double beta, MatrixView c);
 void gemm(double alpha, const Matrix& a, bool trans_a, const Matrix& b,

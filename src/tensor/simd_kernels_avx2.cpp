@@ -227,7 +227,6 @@ inline void gemm_rows(double alpha, const double* a, const double* b,
 /// deterministic within the variant.
 void gemv_n1(double alpha, const double* a, const double* b, double beta,
              double* c, std::size_t m, std::size_t k) {
-#pragma omp parallel for schedule(static)
   for (std::size_t i = 0; i < m; ++i) {
     const double* ai = a + i * k;
     __m256d acc = _mm256_setzero_pd();
@@ -257,16 +256,12 @@ void gemm_nn_avx2(double alpha, const double* a, const double* b, double beta,
     gemv_n1(alpha, a, b, beta, c, m, k);
     return;
   }
-  // Iterate over ceil(m/6) row blocks (not i += 6) so OpenMP's static
-  // schedule partitions whole blocks and the remainder rows (m % 6) are
-  // handled exactly once by the matching smaller kernel. MR=6 with NV=2
-  // keeps 12 independent FMA chains live per panel — enough to cover the
-  // 4-cycle FMA latency at 2 issues/cycle — while fitting in registers
-  // (12 accumulators + 2 B vectors + 1 broadcast of 16 ymm).
-  const std::size_t mblocks = (m + 5) / 6;
-#pragma omp parallel for schedule(static)
-  for (std::size_t ib = 0; ib < mblocks; ++ib) {
-    const std::size_t i = ib * 6;
+  // Six-row blocks; the remainder rows (m % 6) go to the matching smaller
+  // kernel. MR=6 with NV=2 keeps 12 independent FMA chains live per panel
+  // — enough to cover the 4-cycle FMA latency at 2 issues/cycle — while
+  // fitting in registers (12 accumulators + 2 B vectors + 1 broadcast of
+  // 16 ymm).
+  for (std::size_t i = 0; i < m; i += 6) {
     switch (std::min<std::size_t>(6, m - i)) {
       case 6:
         gemm_rows<6>(alpha, a, b, beta, c, i, k, n);

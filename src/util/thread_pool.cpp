@@ -1,9 +1,5 @@
 #include "util/thread_pool.hpp"
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 namespace ranknet::util {
 
 ThreadPool::ThreadPool(std::size_t threads) {
@@ -30,11 +26,6 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::worker_loop() {
-#ifdef _OPENMP
-  // Tasks run OpenMP-parallel kernels; one OMP thread per worker keeps a
-  // pool of N workers at N threads total instead of N x omp_num_threads.
-  omp_set_num_threads(1);
-#endif
   for (;;) {
     std::function<void()> task;
     {

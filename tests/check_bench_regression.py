@@ -8,23 +8,15 @@ Usage:
   # after: ./build/bench/fig10_batch_scaling   (writes BENCH_fig10.json)
   tests/check_bench_regression.py BENCH_fig10.json
 
-Three input formats are understood:
+Two input formats are understood:
   * google-benchmark output ("benchmarks" key): entry name -> cpu_time ns.
   * the fig10 bench's own JSON ("mc_decode" key): synthesized entries
     "fig10_rollout_us_per_sample/<S>" (end-to-end MC rollout, ns/sample)
     and "fig10_cache_hit_us_per_sample/<S>" (forecast-cache replay) so the
     serving path is gated by the same ratio check as the microkernels.
-  * the serve_load bench's JSON ("serve_load" key): per configuration
-    (window x fault profile x deadline), synthesized entries
-    "serve_ns_per_forecast/<cfg>" (1e9 / forecasts_per_sec — inverted so
-    "bigger = slower" matches every other entry), "serve_p50/<cfg>" and
-    "serve_p99/<cfg>" (request latency quantiles, ns, straight from the
-    server's serve.request.latency obs histogram).
-  * the season_fleet bench's JSON ("season_fleet" key): per shard count,
-    synthesized entries "season_ns_per_job/shards<N>" (1e9 /
-    jobs_per_sec, same big-is-slow inversion as serve_load), gating the
-    whole-season fleet path. The races/s headline is derived, so gating
-    ns/job gates it too.
+
+End-to-end serving and fleet throughput is measured by perfbench
+(`python3 perfbench/run.py`, bounds in BENCHMARK.json), not here.
 
 Compares each entry (e.g. "BM_GemmLstmGates<avx2>/256") against
 tests/bench_baseline.json and fails — exit code 1 — when any entry is more
@@ -32,9 +24,9 @@ than --tolerance (default 15%) slower. Entries present in only one file are
 reported but never fail the run, so adding or retiring a benchmark doesn't
 require a lockstep baseline edit.
 
-This is a manually-run tool, not a ctest entry: the box that grows this
-repo is a single shared core where scalar GEMM timing swings tens of
-percent with heap-allocation layout alone (see DESIGN.md, "Kernel dispatch
+This is a manually-run tool, not a ctest entry: on a shared machine
+scalar GEMM timing swings tens of percent with heap-allocation layout
+alone (see DESIGN.md, "Kernel dispatch
 & batched sampling"). Run it on a quiet machine before and after touching
 src/tensor, and rebaseline with --update in the same commit as an
 intentional perf change.
@@ -60,18 +52,6 @@ def load_times(path):
         for row in doc.get("forecast_cache", []):
             name = f"fig10_cache_hit_us_per_sample/{row['num_samples']}"
             out[name] = float(row["hit_us_per_sample"]) * 1e3
-    if "serve_load" in doc:  # serve_load bench output
-        for row in doc["serve_load"]:
-            cfg = (f"w{row['window']}_{row['profile']}"
-                   f"_d{row['deadline_us']}")
-            out[f"serve_ns_per_forecast/{cfg}"] = (
-                1e9 / float(row["forecasts_per_sec"]))
-            out[f"serve_p50/{cfg}"] = float(row["p50_us"]) * 1e3
-            out[f"serve_p99/{cfg}"] = float(row["p99_us"]) * 1e3
-    if "season_fleet" in doc:  # season_fleet bench output
-        for row in doc["season_fleet"]:
-            name = f"season_ns_per_job/shards{row['shards']}"
-            out[name] = 1e9 / float(row["jobs_per_sec"])
     for b in doc.get("benchmarks", []):
         if b.get("run_type", "iteration") != "iteration":
             continue

@@ -25,6 +25,7 @@
 #include "simulator/season.hpp"
 #include "telemetry/stream_ingestor.hpp"
 #include "test_support.hpp"
+#include "util/timer.hpp"
 
 namespace {
 
@@ -629,12 +630,11 @@ TEST_F(DegradationTest, DeadlineOverrunFallsBackAndStillServesEveryCar) {
   EXPECT_EQ(deg.full_cars + deg.fallback_cars(), expected.size());
 }
 
-// Regression: a block whose wait timed out used to be counted as full_cars
-// when the blocking future drain let it finish anyway — a forecast could
-// report deadline_hits > 0 with zero deadline_fallback_cars, and serve the
-// late primary result past its deadline. One worker and one block make the
-// race deterministic: the wait must time out (the only task is still
-// sleeping), yet the drain always sees a completed result.
+// Regression: a block that finished after the deadline used to be counted
+// as full_cars — a forecast could report deadline_hits > 0 with zero
+// deadline_fallback_cars, and serve the late primary result past its
+// deadline. One worker and one block make it deterministic: the only task
+// sleeps past the deadline, yet the drain always sees a completed result.
 TEST_F(DegradationTest, TimedOutBlockIsNotCountedAsFullEvenIfItFinishes) {
   ConstForecaster primary(42.0, /*sleep_ms=*/50);
   core::ParallelForecastEngine engine(primary, /*threads=*/1,
@@ -659,6 +659,50 @@ TEST_F(DegradationTest, TimedOutBlockIsNotCountedAsFullEvenIfItFinishes) {
   EXPECT_EQ(deg.deadline_hits, 1u);
   EXPECT_EQ(deg.full_cars, 0u);
   EXPECT_EQ(deg.deadline_fallback_cars, expected.size());
+}
+
+// Inline mode (threads 0, the default in the registry and the shards) runs
+// every block inside submit(). The deadline rule must still hold there: the
+// engine used to run all blocks to the end and then send only block 0 (which
+// had finished on time) to the fallback. Blocks of 10 ms against a 25 ms
+// deadline: the first is primary, the last never starts.
+TEST_F(DegradationTest, InlineDeadlineBoundsWorkAndDegradesTheLateBlocks) {
+  constexpr std::size_t kBlocks = 8, kCarsPerBlock = 4;
+  constexpr int kBlockMs = 10;
+  class FirstCars : public ConstForecaster {
+   public:
+    FirstCars() : ConstForecaster(42.0, kBlockMs) {}
+    std::vector<int> forecast_cars(const telemetry::RaceLog& race,
+                                   int origin_lap) override {
+      auto cars = ConstForecaster::forecast_cars(race, origin_lap);
+      cars.resize(std::min(cars.size(), kBlocks * kCarsPerBlock));
+      return cars;
+    }
+  };
+  FirstCars primary;
+  const auto cars = primary.forecast_cars(*race_, 30);
+  ASSERT_EQ(cars.size(), kBlocks * kCarsPerBlock);
+  core::ParallelForecastEngine engine(primary, /*threads=*/0, kCarsPerBlock);
+  core::ParallelForecastEngine::DegradationPolicy policy;
+  policy.deadline_seconds = 0.025;
+  policy.fallback = std::make_shared<ConstForecaster>(7.0);
+  ASSERT_TRUE(engine.set_degradation_policy(std::move(policy)).ok());
+
+  util::Rng rng(5);
+  util::Timer wall;
+  const auto out = engine.forecast(*race_, 30, 5, 4, rng);
+  const double wall_ms = wall.millis();
+
+  ASSERT_EQ(out.size(), cars.size());
+  for (std::size_t i = 0; i < kCarsPerBlock; ++i) {
+    EXPECT_EQ(CarValue(out, cars[i]), 42.0) << "block 0 car " << cars[i];
+    const int late = cars[cars.size() - 1 - i];
+    EXPECT_EQ(CarValue(out, late), 7.0) << "last block car " << late;
+  }
+  const auto deg = engine.degradation();
+  EXPECT_EQ(deg.full_cars + deg.fallback_cars(), cars.size());
+  EXPECT_EQ(deg.deadline_hits, 1u);
+  EXPECT_LT(wall_ms, kBlocks * kBlockMs);
 }
 
 TEST_F(DegradationTest, TaskExceptionFallsBackWhenConfigured) {

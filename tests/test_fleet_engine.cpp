@@ -208,7 +208,7 @@ TEST_F(FleetEngineTest, RunSeasonShardCountByteInvariant) {
   const auto jobs = season_jobs();
   std::vector<std::vector<core::RaceSamples>> runs;
   for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
-                                   std::size_t{8}}) {
+                                   std::size_t{4}, std::size_t{8}}) {
     core::FleetConfig cfg;
     cfg.shards = shards;
     core::FleetEngine fleet(

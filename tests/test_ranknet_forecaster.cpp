@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <functional>
 #include <future>
 
 #include "core/parallel_engine.hpp"
@@ -382,15 +381,6 @@ class ForecastContext : public ForecasterContract {
         core::StatusSource::kPitModel, "mlp");
   }
 
-  /// Runs a test body on a pool worker. Workers run the OpenMP kernels
-  /// single-threaded, as shard drivers do; OpenMP teams started from the
-  /// main thread are invisible to TSan (libgomp is not instrumented) and
-  /// would read as races under the fleet-tsan preset.
-  static void OnWorker(const std::function<void()>& body) {
-    util::ThreadPool driver(1);
-    driver.submit(body).get();
-  }
-
   /// Whole-field forecast_partition of each key on a fresh instance.
   std::vector<core::RaceSamples> Reference(
       features::CovariateConfig config = {}) const {
@@ -410,70 +400,65 @@ class ForecastContext : public ForecasterContract {
 TEST_F(ForecastContext, InterleavedPartitionsMatchFreshWholeField) {
   features::CovariateConfig no_shift;  // tail = 0: no encoder-tail replay
   no_shift.shift_features = false;
-  OnWorker([&] {
-    for (const auto& config : {features::CovariateConfig{}, no_shift}) {
-      const auto keys = Keys();
-      const auto reference = Reference(config);
-      const auto shared = Make(config);
-      shared->prepare(*race_);
-      for (const std::size_t size : {std::size_t{1}, std::size_t{4},
-                                     std::size_t{64}}) {
-        // Round-robin: one partition of each key in turn, so partitions of
-        // one forecast are separated by partitions of every other forecast.
-        std::vector<std::vector<int>> cars(keys.size());
-        std::vector<core::RaceSamples> got(keys.size());
-        std::size_t rounds = 0;
+  for (const auto& config : {features::CovariateConfig{}, no_shift}) {
+    const auto keys = Keys();
+    const auto reference = Reference(config);
+    const auto shared = Make(config);
+    shared->prepare(*race_);
+    for (const std::size_t size : {std::size_t{1}, std::size_t{4},
+                                   std::size_t{64}}) {
+      // Round-robin: one partition of each key in turn, so partitions of
+      // one forecast are separated by partitions of every other forecast.
+      std::vector<std::vector<int>> cars(keys.size());
+      std::vector<core::RaceSamples> got(keys.size());
+      std::size_t rounds = 0;
+      for (std::size_t k = 0; k < keys.size(); ++k) {
+        cars[k] = shared->forecast_cars(*race_, keys[k].origin);
+        rounds = std::max(rounds, (cars[k].size() + size - 1) / size);
+      }
+      for (std::size_t round = 0; round < rounds; ++round) {
         for (std::size_t k = 0; k < keys.size(); ++k) {
-          cars[k] = shared->forecast_cars(*race_, keys[k].origin);
-          rounds = std::max(rounds, (cars[k].size() + size - 1) / size);
-        }
-        for (std::size_t round = 0; round < rounds; ++round) {
-          for (std::size_t k = 0; k < keys.size(); ++k) {
-            const std::size_t begin = round * size;
-            if (begin >= cars[k].size()) continue;
-            const std::size_t n = std::min(size, cars[k].size() - begin);
-            auto part = shared->forecast_partition(
-                *race_, keys[k].origin, keys[k].horizon, kSamples, keys[k].base,
-                std::span<const int>(cars[k].data() + begin, n));
-            got[k].merge(part);
-          }
-        }
-        for (std::size_t k = 0; k < keys.size(); ++k) {
-          EXPECT_TRUE(SamplesIdentical(got[k], reference[k]))
-              << "key " << k << " partition size " << size << " shift "
-              << config.shift_features;
+          const std::size_t begin = round * size;
+          if (begin >= cars[k].size()) continue;
+          const std::size_t n = std::min(size, cars[k].size() - begin);
+          auto part = shared->forecast_partition(
+              *race_, keys[k].origin, keys[k].horizon, kSamples, keys[k].base,
+              std::span<const int>(cars[k].data() + begin, n));
+          got[k].merge(part);
         }
       }
+      for (std::size_t k = 0; k < keys.size(); ++k) {
+        EXPECT_TRUE(SamplesIdentical(got[k], reference[k]))
+            << "key " << k << " partition size " << size << " shift "
+            << config.shift_features;
+      }
     }
-  });
+  }
 }
 
 TEST_F(ForecastContext, EngineThreadsAndConcurrentCallersMatchFreshWholeField) {
   const auto keys = Keys();
-  std::vector<core::RaceSamples> reference;
   const auto shared = Make();
-  OnWorker([&] {
-    reference = Reference();
-    shared->prepare(*race_);
-    for (const std::size_t threads : {std::size_t{0}, std::size_t{2},
-                                      std::size_t{8}}) {
-      for (const std::size_t size : {std::size_t{1}, std::size_t{4},
-                                     std::size_t{64}}) {
-        core::ParallelForecastEngine engine(*shared, threads, size);
-        // Twice over, so the second pass can also hit the kept contexts.
-        for (int pass = 0; pass < 2; ++pass) {
-          for (std::size_t k = 0; k < keys.size(); ++k) {
-            const auto out =
-                engine.forecast_with_base(*race_, keys[k].origin,
-                                          keys[k].horizon, kSamples,
-                                          keys[k].base);
-            EXPECT_TRUE(SamplesIdentical(out, reference[k]))
-                << "key " << k << " threads " << threads << " size " << size;
-          }
+  const auto reference = Reference();
+  shared->prepare(*race_);
+  for (const std::size_t threads : {std::size_t{0}, std::size_t{2},
+                                    std::size_t{8}}) {
+    for (const std::size_t size : {std::size_t{1}, std::size_t{4},
+                                   std::size_t{64}}) {
+      core::ParallelForecastEngine engine(*shared, threads, size);
+      // Twice over, so the second pass can also hit the kept contexts.
+      for (int pass = 0; pass < 2; ++pass) {
+        for (std::size_t k = 0; k < keys.size(); ++k) {
+          const auto out =
+              engine.forecast_with_base(*race_, keys[k].origin,
+                                        keys[k].horizon, kSamples,
+                                        keys[k].base);
+          EXPECT_TRUE(SamplesIdentical(out, reference[k]))
+              << "key " << k << " threads " << threads << " size " << size;
         }
       }
     }
-  });
+  }
 
   // Concurrent callers on one instance: each walks the keys from its own
   // offset in single-car partitions, so fills and reads of the same and of

@@ -1,6 +1,7 @@
 // Serving soak: sustained load through the four fault profiles the serving
-// front end must survive — clean, lossy transport (drop + truncate +
-// corrupt), stalled clients alongside healthy traffic, and model-swap churn
+// front end must survive — clean (also under a tight per-request
+// deadline), lossy transport (drop + truncate + corrupt), stalled clients
+// alongside healthy traffic, and model-swap churn
 // — asserting the server's core robustness claims end to end:
 //   1. zero crashed/hung requests: every request is answered or explicitly
 //      rejected (lossy-transport requests are re-driven until answered);
@@ -162,7 +163,8 @@ class ServeSoakTest : public ::testing::Test {
     if (server_) server_->stop();
   }
 
-  wire::ForecastRequest make_request(std::uint64_t id, std::uint64_t seed) {
+  wire::ForecastRequest make_request(std::uint64_t id, std::uint64_t seed,
+                                     std::uint32_t deadline_us = 0) {
     wire::ForecastRequest req;
     req.request_id = id;
     req.seed = seed;
@@ -170,15 +172,18 @@ class ServeSoakTest : public ::testing::Test {
     req.origin_lap = 30;
     req.horizon = 5;
     req.num_samples = 4;
+    req.deadline_us = deadline_us;
     return req;
   }
 
   std::vector<wire::ForecastRequest> make_batch(int count,
-                                                std::uint64_t seed_base) {
+                                                std::uint64_t seed_base,
+                                                std::uint32_t deadline_us = 0) {
     std::vector<wire::ForecastRequest> reqs;
     reqs.reserve(count);
     for (int i = 0; i < count; ++i) {
-      reqs.push_back(make_request(next_id_++, seed_base + (i % kSeedSpace)));
+      reqs.push_back(make_request(next_id_++, seed_base + (i % kSeedSpace),
+                                  deadline_us));
     }
     return reqs;
   }
@@ -281,6 +286,21 @@ TEST_F(ServeSoakTest, SustainedLoadThroughFaultProfiles) {
         << "seed cycling never hit the forecast cache";
   }
   check_monotone("clean");
+
+  // ---- Phase 1b: clean transport under a 2 ms per-request deadline -----
+  // A tight budget may degrade a forecast or reject it in the queue, but
+  // every request still comes back with exactly one tier. Fresh seeds, so
+  // the first sighting of each is a cold forecast under the budget.
+  {
+    constexpr int kDeadlineRequests = kRequestsPerProfile / 5;
+    const auto tiers_before = tier_total();
+    const int answered = drive_clean(
+        make_batch(kDeadlineRequests, 5000, /*deadline_us=*/2000), false);
+    ASSERT_EQ(answered, kDeadlineRequests);
+    EXPECT_EQ(tier_total() - tiers_before,
+              static_cast<std::uint64_t>(kDeadlineRequests));
+  }
+  check_monotone("deadline");
 
   // ---- Phase 2: lossy transport (drop + truncate + corrupt) -----------
   {
