@@ -20,9 +20,9 @@
 #include "core/device_model.hpp"
 #include "core/parallel_engine.hpp"
 #include "core/ranknet.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "simulator/season.hpp"
-#include "tensor/workspace.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
@@ -60,7 +60,7 @@ struct CacheRow {
   double cold_us_per_sample = 0.0;  // uncached forecast
   double hit_us_per_sample = 0.0;   // cache replay of the same request
   double hit_speedup = 0.0;
-  double hit_rate = 0.0;  // CacheCounters over this row's requests
+  double hit_rate = 0.0;  // engine cache hits over this row's requests
 };
 
 struct BenchResults {
@@ -179,10 +179,15 @@ DecodeRow measure_decode_row(RankNetFixture& fix, int samples, int origin,
   util::Rng warm2(11);
   (void)fix.forecaster.forecast(fix.race, origin, horizon, samples, warm2);
 
-  const auto ws_before = tensor::WorkspaceCounters::instance().snapshot();
-  auto& tree = core::DecodeTreeCounters::instance();
-  const auto tree_rows0 = tree.rows();
-  const auto tree_branches0 = tree.branches();
+  auto& reg = obs::Registry::instance();
+  const auto count = [&reg](const char* name) {
+    return reg.counter(name).value();
+  };
+  const auto allocs0 = count("workspace.block_allocs");
+  const auto epochs0 = count("workspace.epochs");
+  const auto reused0 = count("workspace.reused_epochs");
+  const auto tree_rows0 = count("decode_tree.rows");
+  const auto tree_branches0 = count("decode_tree.branches");
   const int reps = 3;
   std::size_t rows = 0;
   util::Timer timer;
@@ -193,9 +198,8 @@ DecodeRow measure_decode_row(RankNetFixture& fix, int samples, int origin,
     for (const auto& [car_id, m] : out) rows += m.rows();
   }
   const double seconds = timer.seconds();
-  const auto ws_after = tensor::WorkspaceCounters::instance().snapshot();
-  const auto tree_rows = tree.rows() - tree_rows0;
-  const auto tree_branches = tree.branches() - tree_branches0;
+  const auto tree_rows = count("decode_tree.rows") - tree_rows0;
+  const auto tree_branches = count("decode_tree.branches") - tree_branches0;
 
   DecodeRow row;
   row.num_samples = samples;
@@ -205,13 +209,12 @@ DecodeRow measure_decode_row(RankNetFixture& fix, int samples, int origin,
                     (static_cast<double>(rows) * horizon);
   row.samples_per_second = static_cast<double>(rows) / seconds;
   row.ws_allocs_per_forecast =
-      static_cast<double>(ws_after.block_allocs - ws_before.block_allocs) /
-      reps;
-  const auto epochs = ws_after.epochs - ws_before.epochs;
+      static_cast<double>(count("workspace.block_allocs") - allocs0) / reps;
+  const auto epochs = count("workspace.epochs") - epochs0;
   row.ws_epoch_reuse =
       epochs == 0 ? 1.0
-                  : static_cast<double>(ws_after.reused_epochs -
-                                        ws_before.reused_epochs) /
+                  : static_cast<double>(count("workspace.reused_epochs") -
+                                        reused0) /
                         static_cast<double>(epochs);
   row.branches_per_forecast =
       static_cast<double>(tree_branches) / reps;
@@ -277,10 +280,7 @@ void forecast_cache_replay(RankNetFixture& fix, BenchResults& results) {
     util::Rng warm(23);
     (void)engine.forecast(fix.race, origin, horizon, samples, warm);
     cache->clear();
-
-    auto& ctr = core::CacheCounters::instance();
-    const auto hits0 = ctr.hits();
-    const auto misses0 = ctr.misses();
+    engine.reset_stats();
 
     std::size_t rows = 0;
     util::Timer cold_timer;
@@ -309,12 +309,9 @@ void forecast_cache_replay(RankNetFixture& fix, BenchResults& results) {
     row.hit_speedup = row.hit_us_per_sample > 0.0
                           ? row.cold_us_per_sample / row.hit_us_per_sample
                           : 0.0;
-    const auto hits = ctr.hits() - hits0;
-    const auto misses = ctr.misses() - misses0;
-    row.hit_rate = hits + misses == 0
-                       ? 0.0
-                       : static_cast<double>(hits) /
-                             static_cast<double>(hits + misses);
+    const auto stats = engine.stats();
+    row.hit_rate = static_cast<double>(stats.cache_hits) /
+                   static_cast<double>(stats.forecasts);
     results.cache[results.cache_rows++] = row;
     std::printf("%10d %14.2f %14.3f %9.0fx %9.0f%%\n", samples,
                 row.cold_us_per_sample, row.hit_us_per_sample,

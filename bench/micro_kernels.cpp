@@ -25,6 +25,7 @@
 #include "core/ar_model.hpp"
 #include "nn/inference.hpp"
 #include "nn/lstm.hpp"
+#include "obs/metrics.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/opcount.hpp"
 #include "tensor/simd_kernels.hpp"
@@ -36,17 +37,17 @@ using namespace ranknet;
 using tensor::Matrix;
 namespace tk = tensor::kernels;
 
-/// Snapshot global op/workspace counters around the timed loop and attach
-/// per-iteration deltas as custom counters (flows into the JSON output).
+/// Snapshot global op counters and the "workspace.block_allocs" registry
+/// counter around the timed loop and attach per-iteration deltas as custom
+/// counters (flows into the JSON output).
 class StepAccounting {
  public:
   StepAccounting()
       : ops_before_(tensor::OpCounters::instance().total()),
-        ws_before_(tensor::WorkspaceCounters::instance().snapshot()) {}
+        ws_allocs_before_(ws_allocs_.value()) {}
 
   void finish(benchmark::State& state) const {
     const auto ops = tensor::OpCounters::instance().total();
-    const auto ws = tensor::WorkspaceCounters::instance().snapshot();
     const double steps =
         std::max<double>(1.0, static_cast<double>(state.iterations()));
     state.counters["flops/step"] =
@@ -54,13 +55,14 @@ class StepAccounting {
     state.counters["kernel_calls/step"] =
         static_cast<double>(ops.calls - ops_before_.calls) / steps;
     state.counters["ws_allocs/step"] =
-        static_cast<double>(ws.block_allocs - ws_before_.block_allocs) /
-        steps;
+        static_cast<double>(ws_allocs_.value() - ws_allocs_before_) / steps;
   }
 
  private:
+  const obs::Counter& ws_allocs_ =
+      obs::Registry::instance().counter("workspace.block_allocs");
   tensor::KernelStats ops_before_;
-  tensor::WorkspaceCounters::Snapshot ws_before_;
+  std::uint64_t ws_allocs_before_;
 };
 
 /// Pin a dispatch variant for the duration of one benchmark run.

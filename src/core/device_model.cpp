@@ -10,79 +10,6 @@
 
 namespace ranknet::core {
 
-EngineCounters& EngineCounters::instance() {
-  static EngineCounters counters;
-  return counters;
-}
-
-EngineCounters::EngineCounters() {
-  auto& reg = obs::Registry::instance();
-  tasks_ = &reg.counter("engine.tasks");
-  forecasts_ = &reg.counter("engine.forecasts");
-  task_seconds_ = &reg.gauge("engine.task_seconds");
-  wall_seconds_ = &reg.gauge("engine.wall_seconds");
-}
-
-void EngineCounters::reset() {
-  tasks_->reset();
-  forecasts_->reset();
-  task_seconds_->reset();
-  wall_seconds_->reset();
-}
-
-DegradationCounters& DegradationCounters::instance() {
-  static DegradationCounters counters;
-  return counters;
-}
-
-DegradationCounters::DegradationCounters() {
-  auto& reg = obs::Registry::instance();
-  full_cars_ = &reg.counter("degradation.full_cars");
-  damaged_fallback_cars_ = &reg.counter("degradation.damaged_fallback_cars");
-  deadline_fallback_cars_ =
-      &reg.counter("degradation.deadline_fallback_cars");
-  error_fallback_cars_ = &reg.counter("degradation.error_fallback_cars");
-  deadline_hits_ = &reg.counter("degradation.deadline_hits");
-  task_failures_ = &reg.counter("degradation.task_failures");
-  workspace_epochs_ = &reg.counter("degradation.workspace_epochs");
-  workspace_reused_epochs_ =
-      &reg.counter("degradation.workspace_reused_epochs");
-  workspace_block_allocs_ =
-      &reg.counter("degradation.workspace_block_allocs");
-}
-
-void DegradationCounters::reset() {
-  full_cars_->reset();
-  damaged_fallback_cars_->reset();
-  deadline_fallback_cars_->reset();
-  error_fallback_cars_->reset();
-  deadline_hits_->reset();
-  task_failures_->reset();
-  workspace_epochs_->reset();
-  workspace_reused_epochs_->reset();
-  workspace_block_allocs_->reset();
-}
-
-DecodeTreeCounters& DecodeTreeCounters::instance() {
-  static DecodeTreeCounters counters;
-  return counters;
-}
-
-DecodeTreeCounters::DecodeTreeCounters() {
-  auto& reg = obs::Registry::instance();
-  decodes_ = &reg.counter("decode_tree.decodes");
-  rows_ = &reg.counter("decode_tree.rows");
-  branches_ = &reg.counter("decode_tree.branches");
-  shared_rows_ = &reg.counter("decode_tree.shared_rows");
-}
-
-void DecodeTreeCounters::reset() {
-  decodes_->reset();
-  rows_->reset();
-  branches_->reset();
-  shared_rows_->reset();
-}
-
 namespace {
 
 using tensor::Kernel;

@@ -17,160 +17,9 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "tensor/opcount.hpp"
 
 namespace ranknet::core {
-
-/// Global wall-time accounting for the parallel forecast engine, kept next
-/// to the kernel counters so the efficiency benches can report CPU-seconds
-/// (summed per-task wall time across workers) against elapsed wall time —
-/// without this split a parallel run would look like a flop-rate miracle on
-/// the roofline. Booked by core::ParallelForecastEngine; storage lives in
-/// the obs::Registry ("engine.*") and this class is a shim over resolved
-/// handles.
-class EngineCounters {
- public:
-  static EngineCounters& instance();
-
-  /// Zeroes this subsystem's metrics only.
-  void reset();
-  void record_task(double seconds) {
-    tasks_->add(1);
-    task_seconds_->add(seconds);
-  }
-  void record_forecast(double wall_seconds) {
-    forecasts_->add(1);
-    wall_seconds_->add(wall_seconds);
-  }
-
-  std::uint64_t tasks() const { return tasks_->value(); }
-  std::uint64_t forecasts() const { return forecasts_->value(); }
-  double task_seconds() const { return task_seconds_->value(); }
-  double wall_seconds() const { return wall_seconds_->value(); }
-
- private:
-  EngineCounters();
-  obs::Counter* tasks_;
-  obs::Counter* forecasts_;
-  obs::Gauge* task_seconds_;
-  obs::Gauge* wall_seconds_;
-};
-
-/// Health accounting for the forecast engine's degradation ladder, kept
-/// next to EngineCounters so serving dashboards read throughput and
-/// degradation from one place. Booked by core::ParallelForecastEngine; see
-/// parallel_engine.hpp for the ladder. Storage lives in the obs::Registry
-/// ("degradation.*"); this class is a shim over resolved handles.
-class DegradationCounters {
- public:
-  static DegradationCounters& instance();
-
-  /// Zeroes this subsystem's metrics only.
-  void reset();
-  void record_full_cars(std::uint64_t n) { full_cars_->add(n); }
-  void record_damaged_fallback(std::uint64_t n) {
-    damaged_fallback_cars_->add(n);
-  }
-  void record_deadline_fallback(std::uint64_t n) {
-    deadline_fallback_cars_->add(n);
-  }
-  void record_error_fallback(std::uint64_t n) {
-    error_fallback_cars_->add(n);
-  }
-  void record_deadline_hit() { deadline_hits_->add(1); }
-  void record_task_failures(std::uint64_t n) { task_failures_->add(n); }
-  /// Inference-runtime memory health, mirrored by the engine from
-  /// tensor::WorkspaceCounters deltas after each forecast: arena epochs
-  /// begun, epochs fully served from warm blocks (no growth), and raw
-  /// block allocations. In steady state reused == epochs and block
-  /// allocations stay flat — any sustained growth is an allocation
-  /// regression on the serving hot path.
-  void record_workspace(std::uint64_t epochs, std::uint64_t reused_epochs,
-                        std::uint64_t block_allocs) {
-    workspace_epochs_->add(epochs);
-    workspace_reused_epochs_->add(reused_epochs);
-    workspace_block_allocs_->add(block_allocs);
-  }
-
-  std::uint64_t full_cars() const { return full_cars_->value(); }
-  std::uint64_t damaged_fallback_cars() const {
-    return damaged_fallback_cars_->value();
-  }
-  std::uint64_t deadline_fallback_cars() const {
-    return deadline_fallback_cars_->value();
-  }
-  std::uint64_t error_fallback_cars() const {
-    return error_fallback_cars_->value();
-  }
-  std::uint64_t deadline_hits() const { return deadline_hits_->value(); }
-  std::uint64_t task_failures() const { return task_failures_->value(); }
-  std::uint64_t fallback_cars() const {
-    return damaged_fallback_cars() + deadline_fallback_cars() +
-           error_fallback_cars();
-  }
-  std::uint64_t workspace_epochs() const {
-    return workspace_epochs_->value();
-  }
-  std::uint64_t workspace_reused_epochs() const {
-    return workspace_reused_epochs_->value();
-  }
-  std::uint64_t workspace_block_allocs() const {
-    return workspace_block_allocs_->value();
-  }
-
- private:
-  DegradationCounters();
-  obs::Counter* full_cars_;
-  obs::Counter* damaged_fallback_cars_;
-  obs::Counter* deadline_fallback_cars_;
-  obs::Counter* error_fallback_cars_;
-  obs::Counter* deadline_hits_;
-  obs::Counter* task_failures_;
-  obs::Counter* workspace_epochs_;
-  obs::Counter* workspace_reused_epochs_;
-  obs::Counter* workspace_block_allocs_;
-};
-
-/// Branch-reuse accounting for the shared-prefix MC decode tree (see
-/// DESIGN.md "Decode tree & forecast cache"). Booked by RankNetForecaster
-/// when decoding in tree mode; `shared_rows` counts row-steps of LSTM+head
-/// work the tree skipped versus independent decode (rows × shared steps −
-/// branches × shared steps), so branch-reuse health is exportable next to
-/// the cache hit rate. Storage lives in the obs::Registry ("decode_tree.*");
-/// this class is a shim over resolved handles.
-class DecodeTreeCounters {
- public:
-  static DecodeTreeCounters& instance();
-
-  /// Zeroes this subsystem's metrics only.
-  void reset();
-  void record_decode(std::uint64_t rows, std::uint64_t branches,
-                     std::uint64_t shared_rows) {
-    decodes_->add(1);
-    rows_->add(rows);
-    branches_->add(branches);
-    shared_rows_->add(shared_rows);
-  }
-
-  std::uint64_t decodes() const { return decodes_->value(); }
-  std::uint64_t rows() const { return rows_->value(); }
-  std::uint64_t branches() const { return branches_->value(); }
-  std::uint64_t shared_rows() const { return shared_rows_->value(); }
-  /// Mean rows per branch (1.0 = no sharing); 0 when idle.
-  double rows_per_branch() const {
-    const auto b = branches();
-    return b == 0 ? 0.0
-                  : static_cast<double>(rows()) / static_cast<double>(b);
-  }
-
- private:
-  DecodeTreeCounters();
-  obs::Counter* decodes_;
-  obs::Counter* rows_;
-  obs::Counter* branches_;
-  obs::Counter* shared_rows_;
-};
 
 struct KernelClassStats {
   std::uint64_t calls = 0;

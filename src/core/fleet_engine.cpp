@@ -212,6 +212,7 @@ ParallelForecastEngine::Stats FleetEngine::stats() const {
   for (const auto& s : shards_) {
     const auto one = s->engine()->stats();
     total.forecasts += one.forecasts;
+    total.cache_hits += one.cache_hits;
     total.tasks += one.tasks;
     total.task_seconds += one.task_seconds;
     total.wall_seconds += one.wall_seconds;

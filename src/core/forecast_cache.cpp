@@ -3,27 +3,34 @@
 #include <algorithm>
 #include <string>
 
+#include "obs/metrics.hpp"
+
 namespace ranknet::core {
 
-CacheCounters& CacheCounters::instance() {
-  static CacheCounters inst;
-  return inst;
+namespace {
+
+/// "forecast_cache.*" metrics, resolved once per process and shared by every
+/// cache instance.
+struct CacheMetrics {
+  obs::Counter* hits;
+  obs::Counter* misses;
+  obs::Counter* insertions;
+  obs::Counter* evictions;
+  CacheMetrics() {
+    auto& reg = obs::Registry::instance();
+    hits = &reg.counter("forecast_cache.hits");
+    misses = &reg.counter("forecast_cache.misses");
+    insertions = &reg.counter("forecast_cache.insertions");
+    evictions = &reg.counter("forecast_cache.evictions");
+  }
+};
+
+const CacheMetrics& metrics() {
+  static const CacheMetrics m;
+  return m;
 }
 
-CacheCounters::CacheCounters() {
-  auto& reg = obs::Registry::instance();
-  hits_ = &reg.counter("forecast_cache.hits");
-  misses_ = &reg.counter("forecast_cache.misses");
-  insertions_ = &reg.counter("forecast_cache.insertions");
-  evictions_ = &reg.counter("forecast_cache.evictions");
-}
-
-void CacheCounters::reset() {
-  hits_->reset();
-  misses_->reset();
-  insertions_->reset();
-  evictions_->reset();
-}
+}  // namespace
 
 ForecastCache::ForecastCache(std::size_t capacity, std::size_t stripes)
     : capacity_(capacity == 0 ? 1 : capacity) {
@@ -60,11 +67,11 @@ std::optional<RaceSamples> ForecastCache::get(const ForecastCacheKey& key) {
   std::lock_guard<std::mutex> lock(s.mutex);
   const auto it = s.index.find(key);
   if (it == s.index.end()) {
-    CacheCounters::instance().record_miss();
+    metrics().misses->add(1);
     return std::nullopt;
   }
   s.lru.splice(s.lru.begin(), s.lru, it->second);  // refresh recency
-  CacheCounters::instance().record_hit();
+  metrics().hits->add(1);
   return it->second->second;  // deep copy out
 }
 
@@ -81,11 +88,11 @@ void ForecastCache::put(const ForecastCacheKey& key, const RaceSamples& value) {
   while (s.lru.size() >= stripe_capacity_[idx]) {
     s.index.erase(s.lru.back().first);
     s.lru.pop_back();
-    CacheCounters::instance().record_evict();
+    metrics().evictions->add(1);
   }
   s.lru.emplace_front(key, value);
   s.index.emplace(key, s.lru.begin());
-  CacheCounters::instance().record_insert();
+  metrics().insertions->add(1);
 }
 
 std::size_t ForecastCache::size() const {

@@ -31,9 +31,10 @@
 // the default single stripe the semantics are exactly the pre-striping
 // global LRU. Capacity is split evenly across stripes (eviction is
 // per-stripe LRU — a globally-exact LRU order is traded for lock
-// independence). Hits, misses, insertions and evictions are booked into
-// the obs::Registry ("forecast_cache.*") via the CacheCounters shim below,
-// same pattern as WorkspaceCounters; the accounting identity
+// independence). Hits, misses, insertions and evictions are booked straight
+// into the process-wide obs::Registry ("forecast_cache.*", one relaxed
+// atomic per event, summed over every cache instance); the accounting
+// identity
 //   insertions - evictions == size()   and   hits + misses == gets
 // holds exactly even under fully concurrent mixed access
 // (tests/test_forecast_cache.cpp, StripedAccountingExactUnderConcurrency).
@@ -48,7 +49,6 @@
 #include <vector>
 
 #include "core/forecaster.hpp"
-#include "obs/metrics.hpp"
 #include "util/fnv1a.hpp"
 
 namespace ranknet::core {
@@ -56,14 +56,6 @@ namespace ranknet::core {
 /// The shared FNV-1a hasher (util/fnv1a.hpp), also reachable as
 /// core::Fnv1a for the digests core and its callers compute.
 using util::Fnv1a;
-
-/// FNV-1a digest of everything a forecast reads from the race: id, lap
-/// count, and every per-car series (rank, statuses, lap times) in ascending
-/// car-id order. Computed once when the RaceLog is built (RaceLog::digest),
-/// so this is O(1).
-inline std::uint64_t race_state_digest(const telemetry::RaceLog& race) {
-  return race.digest();
-}
 
 struct ForecastCacheKey {
   std::uint64_t race_digest = 0;
@@ -86,39 +78,6 @@ struct ForecastCacheKey {
     h.update_u64(static_cast<std::uint64_t>(kernel_variant));
     return h.digest();
   }
-};
-
-/// Hit/miss/eviction accounting. Storage lives in the obs::Registry
-/// ("forecast_cache.*"); this class is a shim over resolved handles, one
-/// relaxed atomic per event.
-class CacheCounters {
- public:
-  static CacheCounters& instance();
-
-  void record_hit() { hits_->add(1); }
-  void record_miss() { misses_->add(1); }
-  void record_insert() { insertions_->add(1); }
-  void record_evict() { evictions_->add(1); }
-
-  std::uint64_t hits() const { return hits_->value(); }
-  std::uint64_t misses() const { return misses_->value(); }
-  std::uint64_t insertions() const { return insertions_->value(); }
-  std::uint64_t evictions() const { return evictions_->value(); }
-  /// hits / (hits + misses); 0 when idle.
-  double hit_rate() const {
-    const auto h = hits(), m = misses();
-    return h + m == 0 ? 0.0
-                      : static_cast<double>(h) / static_cast<double>(h + m);
-  }
-  /// Zeroes this subsystem's metrics only.
-  void reset();
-
- private:
-  CacheCounters();
-  obs::Counter* hits_;
-  obs::Counter* misses_;
-  obs::Counter* insertions_;
-  obs::Counter* evictions_;
 };
 
 class ForecastCache {

@@ -8,10 +8,9 @@
 #include <utility>
 #include <vector>
 
-#include "core/device_model.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "tensor/simd_kernels.hpp"
-#include "tensor/workspace.hpp"
 #include "util/timer.hpp"
 
 namespace ranknet::core {
@@ -45,17 +44,63 @@ tensor::Matrix broadcast_rows(tensor::Matrix m, std::size_t rows) {
   return out;
 }
 
-/// Mirror the inference-runtime arena activity of one forecast into the
-/// global degradation counters. WorkspaceCounters is process-global, so the
-/// delta covers the calling thread and every pool worker that served this
-/// forecast (concurrent engines blend together, which is fine for a health
-/// signal: steady state is still reused == epochs, block_allocs flat).
-void record_workspace_delta(const tensor::WorkspaceCounters::Snapshot& before) {
-  const auto after = tensor::WorkspaceCounters::instance().snapshot();
-  DegradationCounters::instance().record_workspace(
-      after.epochs - before.epochs,
-      after.reused_epochs - before.reused_epochs,
-      after.block_allocs - before.block_allocs);
+/// "engine.*" and "degradation.*" metrics, resolved once per process and
+/// shared by every engine and pool worker. "engine.*" keeps CPU-seconds
+/// (summed per-task wall time) apart from elapsed wall time, so the
+/// efficiency benches can tell a parallel run from a flop-rate miracle;
+/// "degradation.*" sums the per-engine Degradation tallies.
+struct EngineMetrics {
+  obs::Counter* forecasts;
+  obs::Counter* tasks;
+  obs::Gauge* task_seconds;
+  obs::Gauge* wall_seconds;
+  obs::Counter* full_cars;
+  obs::Counter* damaged_fallback_cars;
+  obs::Counter* deadline_fallback_cars;
+  obs::Counter* error_fallback_cars;
+  obs::Counter* deadline_hits;
+  obs::Counter* task_failures;
+  EngineMetrics() {
+    auto& reg = obs::Registry::instance();
+    forecasts = &reg.counter("engine.forecasts");
+    tasks = &reg.counter("engine.tasks");
+    task_seconds = &reg.gauge("engine.task_seconds");
+    wall_seconds = &reg.gauge("engine.wall_seconds");
+    full_cars = &reg.counter("degradation.full_cars");
+    damaged_fallback_cars = &reg.counter("degradation.damaged_fallback_cars");
+    deadline_fallback_cars =
+        &reg.counter("degradation.deadline_fallback_cars");
+    error_fallback_cars = &reg.counter("degradation.error_fallback_cars");
+    deadline_hits = &reg.counter("degradation.deadline_hits");
+    task_failures = &reg.counter("degradation.task_failures");
+  }
+  void record_task(double seconds) const {
+    tasks->add(1);
+    task_seconds->add(seconds);
+  }
+  void record_forecast(double seconds) const {
+    forecasts->add(1);
+    wall_seconds->add(seconds);
+  }
+  void record_degradation(
+      const ParallelForecastEngine::Degradation& deg) const {
+    // Skip zero adds: an add still takes the cache line, and the fallback
+    // tallies are zero on almost every forecast.
+    const auto book = [](obs::Counter* c, std::uint64_t n) {
+      if (n > 0) c->add(n);
+    };
+    book(full_cars, deg.full_cars);
+    book(damaged_fallback_cars, deg.damaged_fallback_cars);
+    book(deadline_fallback_cars, deg.deadline_fallback_cars);
+    book(error_fallback_cars, deg.error_fallback_cars);
+    book(deadline_hits, deg.deadline_hits);
+    book(task_failures, deg.task_failures);
+  }
+};
+
+const EngineMetrics& metrics() {
+  static const EngineMetrics m;
+  return m;
 }
 
 }  // namespace
@@ -114,7 +159,6 @@ RaceSamples ParallelForecastEngine::delegate_forecast(
     const telemetry::RaceLog& race, int origin_lap, int horizon,
     int num_samples, util::Rng& rng) {
   util::Timer wall;
-  const auto ws_before = tensor::WorkspaceCounters::instance().snapshot();
   auto out = wrapped_.forecast(race, origin_lap, horizon, num_samples, rng);
   const double secs = wall.seconds();
   {
@@ -124,9 +168,8 @@ RaceSamples ParallelForecastEngine::delegate_forecast(
     stats_.task_seconds += secs;
     stats_.wall_seconds += secs;
   }
-  EngineCounters::instance().record_task(secs);
-  EngineCounters::instance().record_forecast(secs);
-  record_workspace_delta(ws_before);
+  metrics().record_task(secs);
+  metrics().record_forecast(secs);
   return out;
 }
 
@@ -152,7 +195,6 @@ RaceSamples ParallelForecastEngine::forecast_with_base(
     const telemetry::RaceLog& race, int origin_lap, int horizon,
     int num_samples, std::uint64_t base) {
   util::Timer wall;
-  const auto ws_before = tensor::WorkspaceCounters::instance().snapshot();
   if (partitioned_ == nullptr) {
     // Keyed delegation: derive a generator from the base so the result is
     // still a pure function of (model, race, request, base).
@@ -167,26 +209,19 @@ RaceSamples ParallelForecastEngine::forecast_with_base(
   // pure function of (see forecast_cache.hpp), so a hit can return the
   // cached bytes verbatim. The base draw above already happened — a hit
   // consumes exactly the rng state a cold compute would.
-  ForecastCacheKey cache_key;
+  ForecastCacheKey key;
   if (cache_ != nullptr) {
-    cache_key = ForecastCacheKey{
-        race_state_digest(race),
-        base,
-        model_version_,
-        origin_lap,
-        horizon,
-        num_samples,
-        static_cast<int>(tensor::kernels::active_variant())};
-    if (auto cached = cache_->get(cache_key)) {
+    key = cache_key(race, origin_lap, horizon, num_samples, base);
+    if (auto cached = cache_->get(key)) {
       prepare_span.stop();
       const double secs = wall.seconds();
       {
         std::lock_guard<std::mutex> lock(stats_mutex_);
         ++stats_.forecasts;
+        ++stats_.cache_hits;
         stats_.wall_seconds += secs;
       }
-      EngineCounters::instance().record_forecast(secs);
-      record_workspace_delta(ws_before);
+      metrics().record_forecast(secs);
       return *std::move(cached);
     }
   }
@@ -244,7 +279,7 @@ RaceSamples ParallelForecastEngine::forecast_with_base(
           std::span<const int>(cars.data() + begin, end - begin));
       result.secs = task_timer.seconds();
       result.on_time = !past_deadline();
-      EngineCounters::instance().record_task(result.secs);
+      metrics().record_task(result.secs);
       return result;
     }));
   }
@@ -321,7 +356,7 @@ RaceSamples ParallelForecastEngine::forecast_with_base(
   // for this key, and must not be replayed once the system recovers.
   if (cache_ != nullptr && deg.fallback_cars() == 0 &&
       deg.deadline_hits == 0 && !first_error) {
-    cache_->put(cache_key, out);
+    cache_->put(key, out);
   }
 
   const double wall_seconds = wall.seconds();
@@ -338,24 +373,21 @@ RaceSamples ParallelForecastEngine::forecast_with_base(
     degradation_.deadline_hits += deg.deadline_hits;
     degradation_.task_failures += deg.task_failures;
   }
-  auto& global = DegradationCounters::instance();
-  global.record_full_cars(deg.full_cars);
-  if (deg.damaged_fallback_cars > 0) {
-    global.record_damaged_fallback(deg.damaged_fallback_cars);
-  }
-  if (deg.deadline_fallback_cars > 0) {
-    global.record_deadline_fallback(deg.deadline_fallback_cars);
-  }
-  if (deg.error_fallback_cars > 0) {
-    global.record_error_fallback(deg.error_fallback_cars);
-  }
-  for (std::uint64_t h = 0; h < deg.deadline_hits; ++h) {
-    global.record_deadline_hit();
-  }
-  if (deg.task_failures > 0) global.record_task_failures(deg.task_failures);
-  EngineCounters::instance().record_forecast(wall_seconds);
-  record_workspace_delta(ws_before);
+  metrics().record_degradation(deg);
+  metrics().record_forecast(wall_seconds);
   return out;
+}
+
+ForecastCacheKey ParallelForecastEngine::cache_key(
+    const telemetry::RaceLog& race, int origin_lap, int horizon,
+    int num_samples, std::uint64_t base) const {
+  return ForecastCacheKey{race.digest(),
+                          base,
+                          model_version_,
+                          origin_lap,
+                          horizon,
+                          num_samples,
+                          static_cast<int>(tensor::kernels::active_variant())};
 }
 
 ParallelForecastEngine::Stats ParallelForecastEngine::stats() const {

@@ -35,8 +35,8 @@
 // canonical choice) and is driven from the same `base` draw, so degraded
 // forecasts stay deterministic. With a default-constructed policy the
 // engine is bit-identical to the pre-ladder behaviour. Health is booked in
-// per-engine Degradation stats and the global core::DegradationCounters,
-// next to EngineCounters.
+// per-engine Degradation stats and, summed over every engine, in the
+// obs::Registry ("degradation.*"), next to the "engine.*" wall-time metrics.
 #pragma once
 
 #include <cstdint>
@@ -64,7 +64,7 @@ class ParallelForecastEngine : public RaceForecaster {
     std::function<bool(int car_id, int origin_lap)> series_damaged;
   };
 
-  /// Per-engine degradation tallies (mirrored into DegradationCounters).
+  /// Per-engine degradation tallies (also summed into "degradation.*").
   struct Degradation {
     std::uint64_t full_cars = 0;               // served by the primary
     std::uint64_t damaged_fallback_cars = 0;   // tier 1
@@ -77,10 +77,10 @@ class ParallelForecastEngine : public RaceForecaster {
              error_fallback_cars;
     }
   };
-  /// Wall-time bookkeeping (also mirrored into the global
-  /// core::EngineCounters, see device_model.hpp).
+  /// Wall-time bookkeeping (also summed into "engine.*").
   struct Stats {
     std::uint64_t forecasts = 0;  // forecast() calls served
+    std::uint64_t cache_hits = 0; // forecasts answered from the cache
     std::uint64_t tasks = 0;      // partition tasks executed
     double task_seconds = 0.0;    // summed per-task wall time
     double wall_seconds = 0.0;    // summed end-to-end forecast() wall time
@@ -152,6 +152,13 @@ class ParallelForecastEngine : public RaceForecaster {
   /// weights change under the same name, or stale forecasts will be served.
   void set_model_version(std::uint64_t version) { model_version_ = version; }
   std::uint64_t model_version() const { return model_version_; }
+  /// The forecast-cache key of one request: race digest, request shape,
+  /// rng stream `base`, model_version() and the active kernel variant. The
+  /// engine's own lookup and any caller probing the cache directly (the
+  /// server's overload tier) build keys here, so the two always agree.
+  ForecastCacheKey cache_key(const telemetry::RaceLog& race, int origin_lap,
+                             int horizon, int num_samples,
+                             std::uint64_t base) const;
 
   Stats stats() const;
   Degradation degradation() const;

@@ -11,7 +11,7 @@ RaceShard::RaceShard(std::size_t index,
                      std::shared_ptr<ForecastCache> shared_cache)
     : index_(index),
       forecaster_(std::move(forecaster)),
-      driver_(config.driver_thread ? 1 : 0) {
+      driver_(1) {
   if (!forecaster_) {
     throw std::invalid_argument("RaceShard: null forecaster");
   }
@@ -20,8 +20,7 @@ RaceShard::RaceShard(std::size_t index,
   if (shared_cache != nullptr) {
     cache_ = std::move(shared_cache);
   } else if (config.cache_capacity > 0) {
-    cache_ = std::make_shared<ForecastCache>(config.cache_capacity,
-                                             config.cache_stripes);
+    cache_ = std::make_shared<ForecastCache>(config.cache_capacity);
   }
   if (cache_ != nullptr) engine_->set_forecast_cache(cache_);
 

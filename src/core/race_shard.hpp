@@ -36,14 +36,9 @@ struct ShardConfig {
   std::size_t engine_threads = 0;
   std::size_t max_cars_per_task = 4;
   /// Per-shard forecast cache capacity; 0 = no shard-local cache (a shared
-  /// cache may still be injected by the fleet).
+  /// cache may still be injected by the fleet). A shard-local cache has one
+  /// stripe: only the shard's own driver uses it.
   std::size_t cache_capacity = 0;
-  /// Lock stripes of the shard-local cache (forecast_cache.hpp).
-  std::size_t cache_stripes = 1;
-  /// false = run driver jobs inline on the submitting thread. The default
-  /// gives every shard one driver thread, so a fleet of N shards serves N
-  /// races concurrently.
-  bool driver_thread = true;
 };
 
 class RaceShard {

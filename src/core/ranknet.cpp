@@ -6,8 +6,8 @@
 #include <stdexcept>
 #include <string_view>
 
-#include "core/device_model.hpp"
 #include "core/status_forecast.hpp"
+#include "obs/metrics.hpp"
 #include "util/string_util.hpp"
 
 namespace ranknet::core {
@@ -64,6 +64,30 @@ std::vector<int> active_cars(const RaceCache& rc, int origin_lap) {
     }
   }
   return cars;
+}
+
+/// Branch-reuse metrics of the shared-prefix decode tree ("decode_tree.*",
+/// see DESIGN.md "Decode tree & forecast cache"), resolved once per process.
+/// `shared_rows` counts row-steps of LSTM+head work the tree skipped versus
+/// independent decode (rows × shared steps − branches × shared steps), so
+/// branch reuse is exportable next to the cache hit rate.
+struct DecodeTreeMetrics {
+  obs::Counter* decodes;
+  obs::Counter* rows;
+  obs::Counter* branches;
+  obs::Counter* shared_rows;
+  DecodeTreeMetrics() {
+    auto& reg = obs::Registry::instance();
+    decodes = &reg.counter("decode_tree.decodes");
+    rows = &reg.counter("decode_tree.rows");
+    branches = &reg.counter("decode_tree.branches");
+    shared_rows = &reg.counter("decode_tree.shared_rows");
+  }
+};
+
+const DecodeTreeMetrics& decode_tree_metrics() {
+  static const DecodeTreeMetrics m;
+  return m;
 }
 
 }  // namespace
@@ -431,9 +455,12 @@ RaceSamples RankNetForecaster::forecast_partition(
                                       row_rngs);
     // shared_rows = row-steps of LSTM+head work skipped vs independent
     // decode (tail replay + decode step 1 ran at branch width).
-    DecodeTreeCounters::instance().record_decode(
-        rows, n_branches,
-        (rows - n_branches) * (static_cast<std::size_t>(tail) + 1));
+    const auto& m = decode_tree_metrics();
+    m.decodes->add(1);
+    m.rows->add(rows);
+    m.branches->add(n_branches);
+    m.shared_rows->add((rows - n_branches) *
+                       (static_cast<std::size_t>(tail) + 1));
   } else {
     // ---- independent decode (historical path) -------------------------
     std::vector<std::span<const double>> row_steps(rows);

@@ -1,13 +1,15 @@
 // Process-wide observability registry: named counters, gauges and
 // fixed-bucket latency histograms, exported as JSON or Prometheus text.
 //
-// This is the single place the serving stack reads its health from. The
-// legacy accounting singletons (tensor::OpCounters, tensor::WorkspaceCounters,
-// core::EngineCounters, core::DegradationCounters) are thin shims whose
-// storage lives here, and the pipeline trace spans (obs/trace.hpp) book
-// their stage latencies into registry histograms — so one snapshot covers
-// kernels, arenas, the forecast engine, the degradation ladder and the
-// pipeline stages at once.
+// This is the single place the serving stack reads its health from. Each
+// booking module (workspace arenas, the forecast cache, the forecast engine
+// and its degradation ladder, the RankNet decode tree, the fleet and the
+// server) resolves its handles here once and books into them directly;
+// tensor::OpCounters is the one remaining shim whose storage lives here.
+// The pipeline trace spans (obs/trace.hpp) book their stage latencies into
+// registry histograms, so one snapshot covers kernels, arenas, the engine,
+// the degradation ladder and the pipeline stages at once. Readers (tests,
+// benches, the Prometheus export) look metrics up by name.
 //
 // Hot-path contract: incrementing an existing metric is one relaxed atomic
 // RMW (Counter::add / Histogram bucket add) or a CAS loop for double sums

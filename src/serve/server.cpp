@@ -535,15 +535,8 @@ void ForecastServer::process_group(std::vector<Pending>& members,
     core::RaceSamples samples;
     bool cached = false;
     if (const auto& cache = engine->forecast_cache()) {
-      core::ForecastCacheKey key{
-          race.digest(),
-          base,
-          engine->model_version(),
-          req.origin_lap,
-          req.horizon,
-          req.num_samples,
-          static_cast<int>(tensor::kernels::active_variant())};
-      if (auto hit = cache->get(key)) {
+      if (auto hit = cache->get(engine->cache_key(
+              race, req.origin_lap, req.horizon, req.num_samples, base))) {
         samples = *std::move(hit);
         cached = true;
       }
@@ -575,8 +568,11 @@ void ForecastServer::process_group(std::vector<Pending>& members,
       return;
     }
 
+    // Only this shard's driver drives its engine, so the engine's own
+    // tallies move for this group alone; the process-wide
+    // "forecast_cache.hits" also moves with hits on other shards.
+    const auto hits_before = engine->stats().cache_hits;
     const auto deg_before = engine->degradation();
-    const auto hits_before = core::CacheCounters::instance().hits();
     core::RaceSamples samples;
     try {
       samples = engine->forecast(race, req.origin_lap, req.horizon,
@@ -588,9 +584,8 @@ void ForecastServer::process_group(std::vector<Pending>& members,
       }
       return;
     }
+    const bool cache_hit = engine->stats().cache_hits > hits_before;
     const auto deg_after = engine->degradation();
-    const bool cache_hit =
-        core::CacheCounters::instance().hits() > hits_before;
     const auto fallback_delta =
         deg_after.fallback_cars() - deg_before.fallback_cars();
     const auto full_delta = deg_after.full_cars - deg_before.full_cars;

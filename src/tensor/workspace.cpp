@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "obs/metrics.hpp"
+
 namespace ranknet::tensor {
 
 namespace {
@@ -18,43 +20,51 @@ std::size_t align_pad(const double* p) {
   const auto addr = reinterpret_cast<std::uintptr_t>(p);
   return (kAlignBytes - addr % kAlignBytes) % kAlignBytes / sizeof(double);
 }
+
+/// "workspace.*" arena-health metrics, resolved once per process and shared
+/// by every thread's workspace. In steady state reused_epochs == epochs and
+/// block_allocs stays flat.
+struct ArenaMetrics {
+  obs::Counter* epochs;         // begin() calls
+  obs::Counter* reused_epochs;  // epochs served without a block alloc
+  obs::Counter* takes;          // take() calls
+  obs::Counter* block_allocs;   // heap blocks ever allocated
+  obs::Counter* bytes_reserved; // heap bytes ever allocated
+  obs::Gauge* high_water_bytes; // max bytes in use in any epoch
+  ArenaMetrics() {
+    auto& reg = obs::Registry::instance();
+    epochs = &reg.counter("workspace.epochs");
+    reused_epochs = &reg.counter("workspace.reused_epochs");
+    takes = &reg.counter("workspace.takes");
+    block_allocs = &reg.counter("workspace.block_allocs");
+    bytes_reserved = &reg.counter("workspace.bytes_reserved");
+    high_water_bytes = &reg.gauge("workspace.high_water_bytes");
+  }
+  void record_block_alloc(std::size_t doubles) const {
+    block_allocs->add(1);
+    bytes_reserved->add(8 * doubles);
+  }
+};
+
+const ArenaMetrics& metrics() {
+  static const ArenaMetrics m;
+  return m;
+}
 }  // namespace
-
-WorkspaceCounters& WorkspaceCounters::instance() {
-  static WorkspaceCounters counters;
-  return counters;
-}
-
-WorkspaceCounters::WorkspaceCounters() {
-  auto& reg = obs::Registry::instance();
-  epochs_ = &reg.counter("workspace.epochs");
-  reused_epochs_ = &reg.counter("workspace.reused_epochs");
-  takes_ = &reg.counter("workspace.takes");
-  block_allocs_ = &reg.counter("workspace.block_allocs");
-  bytes_reserved_ = &reg.counter("workspace.bytes_reserved");
-  high_water_bytes_ = &reg.gauge("workspace.high_water_bytes");
-}
-
-void WorkspaceCounters::reset() {
-  epochs_->reset();
-  reused_epochs_->reset();
-  takes_->reset();
-  block_allocs_->reset();
-  bytes_reserved_->reset();
-  high_water_bytes_->reset();
-}
 
 Workspace::Workspace(std::size_t initial_doubles) {
   if (initial_doubles > 0) {
     blocks_.push_back(Block{std::vector<double>(initial_doubles), 0});
     ++block_allocs_;
-    WorkspaceCounters::instance().record_block_alloc(8 * initial_doubles);
+    metrics().record_block_alloc(initial_doubles);
   }
 }
 
 void Workspace::begin() {
-  WorkspaceCounters::instance().record_high_water(8 * in_use_);
-  WorkspaceCounters::instance().record_epoch(/*reused=*/!grew_this_epoch_);
+  const auto& m = metrics();
+  m.high_water_bytes->record_max(static_cast<double>(8 * in_use_));
+  m.epochs->add(1);
+  if (!grew_this_epoch_) m.reused_epochs->add(1);
   for (auto& b : blocks_) b.used = 0;
   cur_ = 0;
   in_use_ = 0;
@@ -62,7 +72,7 @@ void Workspace::begin() {
 }
 
 double* Workspace::bump(std::size_t n) {
-  WorkspaceCounters::instance().record_take();
+  metrics().takes->add(1);
   // Advance through existing blocks until one fits; partial blocks are
   // simply skipped (their tail stays unused this epoch).
   while (cur_ < blocks_.size()) {
@@ -85,7 +95,7 @@ double* Workspace::bump(std::size_t n) {
   blocks_.push_back(Block{std::vector<double>(size), 0});
   ++block_allocs_;
   grew_this_epoch_ = true;
-  WorkspaceCounters::instance().record_block_alloc(8 * size);
+  metrics().record_block_alloc(size);
   Block& nb = blocks_.back();
   const std::size_t pad = align_pad(nb.data.data());
   nb.used = pad + n;

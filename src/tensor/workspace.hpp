@@ -18,74 +18,20 @@
 //   * Workspaces are not thread-safe; use thread_local_instance() so every
 //     worker thread of the parallel engine owns its own arena.
 //
-// All workspaces book into the global WorkspaceCounters (relaxed atomics,
-// same pattern as OpCounters) so tests and benches can assert the
-// steady-state zero-allocation property and the engine can export
-// allocation/reuse health next to its degradation counters.
+// All workspaces book into the process-wide obs::Registry ("workspace.*":
+// epochs, reused_epochs, takes, block_allocs, bytes_reserved and the
+// high_water_bytes gauge; one relaxed atomic per event) so tests and benches
+// can assert the steady-state zero-allocation property by name and a
+// metrics export covers allocator health next to the engine counters.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "tensor/view.hpp"
 
 namespace ranknet::tensor {
-
-/// Arena-health accounting. Storage lives in the obs::Registry
-/// ("workspace.*") so a metrics snapshot covers allocator behaviour next to
-/// the kernel and engine counters; this class is a shim holding resolved
-/// handles, and record_take() — the hottest call — is still one relaxed add.
-class WorkspaceCounters {
- public:
-  static WorkspaceCounters& instance();
-
-  struct Snapshot {
-    std::uint64_t epochs = 0;        // begin() calls
-    std::uint64_t reused_epochs = 0; // epochs served without a block alloc
-    std::uint64_t takes = 0;         // take() calls
-    std::uint64_t block_allocs = 0;  // heap blocks ever allocated
-    std::uint64_t bytes_reserved = 0;   // heap bytes ever allocated
-    std::uint64_t high_water_bytes = 0; // max bytes in use in any epoch
-  };
-
-  void record_epoch(bool reused) {
-    epochs_->add(1);
-    if (reused) reused_epochs_->add(1);
-  }
-  void record_take() { takes_->add(1); }
-  void record_block_alloc(std::uint64_t bytes) {
-    block_allocs_->add(1);
-    bytes_reserved_->add(bytes);
-  }
-  void record_high_water(std::uint64_t bytes) {
-    high_water_bytes_->record_max(static_cast<double>(bytes));
-  }
-
-  Snapshot snapshot() const {
-    Snapshot s;
-    s.epochs = epochs_->value();
-    s.reused_epochs = reused_epochs_->value();
-    s.takes = takes_->value();
-    s.block_allocs = block_allocs_->value();
-    s.bytes_reserved = bytes_reserved_->value();
-    s.high_water_bytes =
-        static_cast<std::uint64_t>(high_water_bytes_->value());
-    return s;
-  }
-  /// Zeroes this subsystem's metrics only.
-  void reset();
-
- private:
-  WorkspaceCounters();
-  obs::Counter* epochs_;
-  obs::Counter* reused_epochs_;
-  obs::Counter* takes_;
-  obs::Counter* block_allocs_;
-  obs::Counter* bytes_reserved_;
-  obs::Gauge* high_water_bytes_;  // max, not sum
-};
 
 class Workspace {
  public:

@@ -21,10 +21,10 @@
 #include <memory>
 
 #include "core/baselines.hpp"
-#include "core/device_model.hpp"
 #include "core/forecast_cache.hpp"
 #include "core/parallel_engine.hpp"
 #include "core/ranknet.hpp"
+#include "obs/metrics.hpp"
 #include "simulator/season.hpp"
 #include "tensor/simd_kernels.hpp"
 
@@ -57,6 +57,20 @@ namespace tk = tensor::kernels;
     }
   }
   return ::testing::AssertionSuccess();
+}
+
+// Process-registry counter, read by name as perfbench and the export do.
+std::uint64_t counter(const char* name) {
+  return obs::Registry::instance().counter(name).value();
+}
+
+// The "decode_tree.*" counters, zeroed before a test reads them absolutely.
+void reset_decode_tree_counters() {
+  for (const char* name : {"decode_tree.decodes", "decode_tree.rows",
+                           "decode_tree.branches",
+                           "decode_tree.shared_rows"}) {
+    obs::Registry::instance().counter(name).reset();
+  }
 }
 
 class DecodeTreeTest : public ::testing::Test {
@@ -267,8 +281,7 @@ TEST_F(DecodeTreeTest, OracleCountersReportOneBranchPerCar) {
                             features::CovariateConfig{},
                             core::StatusSource::kOracle, "oracle");
   f.set_decode_mode(core::DecodeMode::kTree);
-  auto& ctr = core::DecodeTreeCounters::instance();
-  ctr.reset();
+  reset_decode_tree_counters();
 
   constexpr int kSamples = 9;
   util::Rng rng(11);
@@ -276,14 +289,13 @@ TEST_F(DecodeTreeTest, OracleCountersReportOneBranchPerCar) {
   ASSERT_FALSE(out.empty());
 
   const auto cars = static_cast<std::uint64_t>(out.size());
-  EXPECT_EQ(ctr.decodes(), 1u);
-  EXPECT_EQ(ctr.rows(), cars * kSamples);
+  EXPECT_EQ(counter("decode_tree.decodes"), 1u);
+  EXPECT_EQ(counter("decode_tree.rows"), cars * kSamples);
   // Oracle covariates are ground truth -> identical for every sample of a
-  // car: exactly one branch per car, and (tail == 0) one shared row-step
-  // per coalesced row.
-  EXPECT_EQ(ctr.branches(), cars);
-  EXPECT_EQ(ctr.shared_rows(), cars * (kSamples - 1));
-  EXPECT_DOUBLE_EQ(ctr.rows_per_branch(), static_cast<double>(kSamples));
+  // car: exactly one branch per car (kSamples rows per branch), and
+  // (tail == 0) one shared row-step per coalesced row.
+  EXPECT_EQ(counter("decode_tree.branches"), cars);
+  EXPECT_EQ(counter("decode_tree.shared_rows"), cars * (kSamples - 1));
   f.set_decode_mode(core::default_decode_mode());
 }
 
@@ -292,8 +304,7 @@ TEST_F(DecodeTreeTest, PitModelCountersShowCoalescing) {
                             features::CovariateConfig{},
                             core::StatusSource::kPitModel, "mlp");
   f.set_decode_mode(core::DecodeMode::kTree);
-  auto& ctr = core::DecodeTreeCounters::instance();
-  ctr.reset();
+  reset_decode_tree_counters();
 
   constexpr int kSamples = 8;
   util::Rng rng(5);
@@ -301,14 +312,14 @@ TEST_F(DecodeTreeTest, PitModelCountersShowCoalescing) {
   ASSERT_FALSE(out.empty());
 
   const auto cars = static_cast<std::uint64_t>(out.size());
-  EXPECT_EQ(ctr.rows(), cars * kSamples);
+  const auto rows = counter("decode_tree.rows");
+  const auto branches = counter("decode_tree.branches");
+  EXPECT_EQ(rows, cars * kSamples);
   // Sampled statuses can split a car's samples into several branches, but
   // never more than one branch per row, and grouping must find at least
   // some sharing at green-flag laps.
-  EXPECT_GE(ctr.branches(), cars);
-  EXPECT_LE(ctr.branches(), ctr.rows());
-  EXPECT_LT(ctr.branches(), ctr.rows());  // some reuse must exist
-  EXPECT_GT(ctr.rows_per_branch(), 1.0);
+  EXPECT_GE(branches, cars);
+  EXPECT_LT(branches, rows);  // some reuse must exist
   f.set_decode_mode(core::default_decode_mode());
 }
 
@@ -324,24 +335,23 @@ TEST_F(DecodeTreeTest, CacheHitReturnsColdBytes) {
   auto cache = std::make_shared<core::ForecastCache>(8);
   engine.set_forecast_cache(cache);
 
-  auto& ctr = core::CacheCounters::instance();
-  const auto hits0 = ctr.hits();
-  const auto misses0 = ctr.misses();
-  const auto inserts0 = ctr.insertions();
+  const auto hits0 = counter("forecast_cache.hits");
+  const auto misses0 = counter("forecast_cache.misses");
+  const auto inserts0 = counter("forecast_cache.insertions");
 
   util::Rng cold_rng(321);
   const auto cold = engine.forecast(*race_, 50, 4, 7, cold_rng);
   const std::uint64_t cold_next = cold_rng();
   EXPECT_EQ(cache->size(), 1u);
-  EXPECT_EQ(ctr.misses(), misses0 + 1);
-  EXPECT_EQ(ctr.insertions(), inserts0 + 1);
+  EXPECT_EQ(counter("forecast_cache.misses"), misses0 + 1);
+  EXPECT_EQ(counter("forecast_cache.insertions"), inserts0 + 1);
 
   util::Rng hit_rng(321);
   const auto hit = engine.forecast(*race_, 50, 4, 7, hit_rng);
   EXPECT_TRUE(SamplesIdentical(cold, hit));
   // The hit consumes exactly the one base draw a cold forecast would.
   EXPECT_EQ(hit_rng(), cold_next);
-  EXPECT_EQ(ctr.hits(), hits0 + 1);
+  EXPECT_EQ(counter("forecast_cache.hits"), hits0 + 1);
   EXPECT_EQ(cache->size(), 1u);
 }
 
@@ -386,19 +396,20 @@ TEST_F(DecodeTreeTest, CacheSharedAcrossEnginesAndRaceStateSensitive) {
   a.set_forecast_cache(cache);
   b.set_forecast_cache(cache);
 
-  auto& ctr = core::CacheCounters::instance();
   util::Rng ra(55);
   const auto cold = a.forecast(*race_, 50, 4, 7, ra);
-  const auto hits0 = ctr.hits();
+  const auto hits0 = counter("forecast_cache.hits");
   util::Rng rb(55);
   const auto hit = b.forecast(*race_, 50, 4, 7, rb);
   EXPECT_TRUE(SamplesIdentical(cold, hit));
-  EXPECT_EQ(ctr.hits(), hits0 + 1);
+  EXPECT_EQ(counter("forecast_cache.hits"), hits0 + 1);
+  EXPECT_EQ(b.stats().cache_hits, 1u);
+  EXPECT_EQ(a.stats().cache_hits, 0u);
 
   // A different race state (same request otherwise) must not hit.
   const auto other = sim::simulate_race({"Indy500", 2019, 201,
                                          sim::Usage::kTest});
-  EXPECT_NE(core::race_state_digest(*race_), core::race_state_digest(other));
+  EXPECT_NE(race_->digest(), other.digest());
 }
 
 TEST_F(DecodeTreeTest, DegradedForecastsAreNeverCached) {

@@ -17,8 +17,8 @@
 #include <vector>
 
 #include "core/baselines.hpp"
-#include "core/device_model.hpp"
 #include "core/parallel_engine.hpp"
+#include "obs/metrics.hpp"
 #include "serve/affine_model.hpp"
 #include "serve/model_registry.hpp"
 #include "simulator/fault_injector.hpp"
@@ -795,7 +795,15 @@ TEST_F(DegradationTest, InvalidDeadlineIsRejectedNotSilentlyDisabled) {
 }
 
 TEST_F(DegradationTest, GlobalCountersMirrorEngineTallies) {
-  core::DegradationCounters::instance().reset();
+  auto& reg = obs::Registry::instance();
+  const auto count = [&reg](const char* name) {
+    return reg.counter(name).value();
+  };
+  const auto full0 = count("degradation.full_cars");
+  const auto damaged0 = count("degradation.damaged_fallback_cars");
+  const auto deadline0 = count("degradation.deadline_fallback_cars");
+  const auto error0 = count("degradation.error_fallback_cars");
+  const auto failures0 = count("degradation.task_failures");
   ConstForecaster primary(42.0);
   core::ParallelForecastEngine engine(primary, 2);
   core::ParallelForecastEngine::DegradationPolicy policy;
@@ -806,11 +814,14 @@ TEST_F(DegradationTest, GlobalCountersMirrorEngineTallies) {
   util::Rng rng(8);
   (void)engine.forecast(*race_, 30, 5, 4, rng);
   const auto deg = engine.degradation();
-  const auto& global = core::DegradationCounters::instance();
-  EXPECT_EQ(global.full_cars(), deg.full_cars);
-  EXPECT_EQ(global.damaged_fallback_cars(), deg.damaged_fallback_cars);
-  EXPECT_EQ(global.fallback_cars(), deg.fallback_cars());
-  EXPECT_EQ(global.task_failures(), 0u);
+  EXPECT_EQ(count("degradation.full_cars") - full0, deg.full_cars);
+  EXPECT_EQ(count("degradation.damaged_fallback_cars") - damaged0,
+            deg.damaged_fallback_cars);
+  EXPECT_EQ(count("degradation.damaged_fallback_cars") - damaged0 +
+                count("degradation.deadline_fallback_cars") - deadline0 +
+                count("degradation.error_fallback_cars") - error0,
+            deg.fallback_cars());
+  EXPECT_EQ(count("degradation.task_failures") - failures0, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -1001,20 +1012,6 @@ TEST(WireFaultInjector, ArtifactCorruptionMidSwapIsContainedAndRollbackFires) {
   EXPECT_EQ(std::memcmp(serve_bytes().data(), baseline.data(),
                         baseline.size() * sizeof(double)),
             0) << "post-rollback serving differs from the original model";
-}
-
-TEST(DegradationCountersTest, WorkspaceRecordsAccumulateAndReset) {
-  auto& c = core::DegradationCounters::instance();
-  c.reset();
-  c.record_workspace(5, 4, 2);
-  c.record_workspace(1, 1, 0);
-  EXPECT_EQ(c.workspace_epochs(), 6u);
-  EXPECT_EQ(c.workspace_reused_epochs(), 5u);
-  EXPECT_EQ(c.workspace_block_allocs(), 2u);
-  c.reset();
-  EXPECT_EQ(c.workspace_epochs(), 0u);
-  EXPECT_EQ(c.workspace_reused_epochs(), 0u);
-  EXPECT_EQ(c.workspace_block_allocs(), 0u);
 }
 
 }  // namespace

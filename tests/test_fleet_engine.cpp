@@ -345,9 +345,9 @@ TEST_F(FleetEngineTest, PerShardCacheHitReplaysExactBytes) {
   const auto base = core::FleetEngine::job_base(
       7, core::FleetEngine::race_key((*races_)[0].id()), 50, 5, 6);
   const auto cold = fleet.forecast_keyed((*races_)[0], 50, 5, 6, base);
-  const auto hits_before = core::CacheCounters::instance().hits();
+  EXPECT_EQ(fleet.stats().cache_hits, 0u);
   const auto hit = fleet.forecast_keyed((*races_)[0], 50, 5, 6, base);
-  EXPECT_GT(core::CacheCounters::instance().hits(), hits_before);
+  EXPECT_EQ(fleet.stats().cache_hits, 1u);
   EXPECT_TRUE(SamplesIdentical(cold, hit));
 }
 

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/forecast_cache.hpp"
+#include "obs/metrics.hpp"
 #include "simulator/season.hpp"
 #include "telemetry/race_log.hpp"
 #include "util/rng.hpp"
@@ -173,23 +174,25 @@ TEST(ForecastCache, CapacityClampsToOneAndClearEmpties) {
 }
 
 TEST(ForecastCache, CountersTrackHitsMissesInsertsEvictions) {
-  auto& ctr = core::CacheCounters::instance();
-  ctr.reset();
+  auto& reg = obs::Registry::instance();
+  auto& hits = reg.counter("forecast_cache.hits");
+  auto& misses = reg.counter("forecast_cache.misses");
+  auto& insertions = reg.counter("forecast_cache.insertions");
+  auto& evictions = reg.counter("forecast_cache.evictions");
+  for (obs::Counter* c : {&hits, &misses, &insertions, &evictions}) {
+    c->reset();
+  }
   core::ForecastCache cache(1);
 
   EXPECT_FALSE(cache.get(key(1)).has_value());
-  EXPECT_EQ(ctr.misses(), 1u);
+  EXPECT_EQ(misses.value(), 1u);
   cache.put(key(1), make_samples(1.0));
-  EXPECT_EQ(ctr.insertions(), 1u);
+  EXPECT_EQ(insertions.value(), 1u);
   EXPECT_TRUE(cache.get(key(1)).has_value());
-  EXPECT_EQ(ctr.hits(), 1u);
+  EXPECT_EQ(hits.value(), 1u);
   cache.put(key(2), make_samples(2.0));  // evicts key(1)
-  EXPECT_EQ(ctr.evictions(), 1u);
-  EXPECT_EQ(ctr.insertions(), 2u);
-  EXPECT_DOUBLE_EQ(ctr.hit_rate(), 0.5);
-  ctr.reset();
-  EXPECT_EQ(ctr.hits() + ctr.misses() + ctr.insertions() + ctr.evictions(),
-            0u);
+  EXPECT_EQ(evictions.value(), 1u);
+  EXPECT_EQ(insertions.value(), 2u);
 }
 
 TEST(ForecastCacheDigest, RaceStateDigestSeesEveryLap) {
@@ -197,8 +200,8 @@ TEST(ForecastCacheDigest, RaceStateDigestSeesEveryLap) {
                                         sim::Usage::kTest});
   const auto other = sim::simulate_race({"Indy500", 2019, 201,
                                          sim::Usage::kTest});
-  EXPECT_EQ(core::race_state_digest(race), core::race_state_digest(race));
-  EXPECT_NE(core::race_state_digest(race), core::race_state_digest(other));
+  EXPECT_EQ(race.digest(), race.digest());
+  EXPECT_NE(race.digest(), other.digest());
 }
 
 TEST(ForecastCacheKeyHash, DistinctFieldsDistinctHashes) {
@@ -343,11 +346,14 @@ TEST(ForecastCacheStriped, StripedAccountingExactUnderConcurrency) {
     values.push_back(make_samples(static_cast<double>(i)));
   }
 
-  auto& counters = core::CacheCounters::instance();
-  const auto hits0 = counters.hits();
-  const auto misses0 = counters.misses();
-  const auto inserts0 = counters.insertions();
-  const auto evicts0 = counters.evictions();
+  auto& reg = obs::Registry::instance();
+  const auto count = [&reg](const char* name) {
+    return reg.counter(name).value();
+  };
+  const auto hits0 = count("forecast_cache.hits");
+  const auto misses0 = count("forecast_cache.misses");
+  const auto inserts0 = count("forecast_cache.insertions");
+  const auto evicts0 = count("forecast_cache.evictions");
 
   std::atomic<std::uint64_t> gets{0};
   util::ThreadPool pool(kThreads);
@@ -369,10 +375,10 @@ TEST(ForecastCacheStriped, StripedAccountingExactUnderConcurrency) {
   }
   for (auto& f : futures) f.get();
 
-  const auto hits = counters.hits() - hits0;
-  const auto misses = counters.misses() - misses0;
-  const auto inserts = counters.insertions() - inserts0;
-  const auto evicts = counters.evictions() - evicts0;
+  const auto hits = count("forecast_cache.hits") - hits0;
+  const auto misses = count("forecast_cache.misses") - misses0;
+  const auto inserts = count("forecast_cache.insertions") - inserts0;
+  const auto evicts = count("forecast_cache.evictions") - evicts0;
   EXPECT_EQ(hits + misses, gets.load());
   EXPECT_EQ(inserts - evicts, static_cast<std::uint64_t>(cache.size()));
   EXPECT_LE(cache.size(), cache.capacity());
@@ -413,14 +419,15 @@ TEST(ForecastCacheStriped, TotalSizeNeverExceedsConfiguredCapacity) {
 // insertions - evictions == size() must hold through the fill, at the
 // boundary, and through the post-boundary churn.
 TEST(ForecastCacheStriped, AccountingIdentityAtCapacityBoundary) {
-  auto& counters = core::CacheCounters::instance();
+  auto& reg = obs::Registry::instance();
+  const auto& insertions = reg.counter("forecast_cache.insertions");
+  const auto& evictions = reg.counter("forecast_cache.evictions");
   core::ForecastCache cache(10, /*stripes=*/8);
-  const auto inserts0 = counters.insertions();
-  const auto evicts0 = counters.evictions();
+  const auto inserts0 = insertions.value();
+  const auto evicts0 = evictions.value();
   for (std::uint64_t i = 0; i < 500; ++i) {
     cache.put(key(i), make_samples(static_cast<double>(i), 1, 1, 1));
-    EXPECT_EQ(counters.insertions() - inserts0 -
-                  (counters.evictions() - evicts0),
+    EXPECT_EQ(insertions.value() - inserts0 - (evictions.value() - evicts0),
               static_cast<std::uint64_t>(cache.size()));
     EXPECT_LE(cache.size(), cache.capacity());
   }
@@ -479,7 +486,7 @@ TEST(ForecastCacheDigest, RaceStateDigestIgnoresZeroSignInLapTimes) {
   telemetry::RaceLog pos(info, {rec});
   rec.lap_time = -0.0;
   telemetry::RaceLog neg(info, {rec});
-  EXPECT_EQ(core::race_state_digest(pos), core::race_state_digest(neg));
+  EXPECT_EQ(pos.digest(), neg.digest());
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Inference-runtime equivalence suite: every InferenceSession must be
 // bit-identical (exact double equality, not EXPECT_NEAR) to the training
 // layer it serves, across batch sizes, and the steady-state decode loop
-// must perform zero heap allocations (asserted via WorkspaceCounters).
+// must perform zero heap allocations (asserted via the "workspace.*"
+// registry counters).
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -17,6 +18,7 @@
 #include "nn/inference.hpp"
 #include "nn/lstm.hpp"
 #include "tensor/workspace.hpp"
+#include "test_support.hpp"
 
 namespace {
 
@@ -25,7 +27,7 @@ using tensor::ConstMatrixView;
 using tensor::Matrix;
 using tensor::MatrixView;
 using tensor::Workspace;
-using tensor::WorkspaceCounters;
+using test_support::arena_counts;
 using util::Rng;
 
 constexpr std::size_t kBatches[] = {1, 7, 64};
@@ -276,9 +278,9 @@ TEST(ZeroAlloc, LstmDecodeLoopSteadyState) {
   run_sample_forward(model, 16, 5, 1);
   run_sample_forward(model, 16, 5, 2);
 
-  const auto before = WorkspaceCounters::instance().snapshot();
+  const auto before = arena_counts();
   const Matrix out = run_sample_forward(model, 16, 5, 3);
-  const auto after = WorkspaceCounters::instance().snapshot();
+  const auto after = arena_counts();
 
   EXPECT_EQ(out.rows(), 16u);
   EXPECT_EQ(after.block_allocs, before.block_allocs)
@@ -327,9 +329,9 @@ TEST(ZeroAlloc, TransformerSampleForecastSteadyState) {
   };
   run(1);
   run(2);
-  const auto before = WorkspaceCounters::instance().snapshot();
+  const auto before = arena_counts();
   const Matrix out = run(3);
-  const auto after = WorkspaceCounters::instance().snapshot();
+  const auto after = arena_counts();
   EXPECT_EQ(out.cols(), static_cast<std::size_t>(horizon));
   EXPECT_EQ(after.block_allocs, before.block_allocs);
   EXPECT_EQ(after.reused_epochs - before.reused_epochs,

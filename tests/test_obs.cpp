@@ -2,6 +2,7 @@
 // round-trips, span bookkeeping, and a concurrency smoke test.
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -9,8 +10,9 @@
 #include <gtest/gtest.h>
 
 #include "core/baselines.hpp"
-#include "core/device_model.hpp"
+#include "core/forecast_cache.hpp"
 #include "core/parallel_engine.hpp"
+#include "core/ranknet.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "simulator/season.hpp"
@@ -158,18 +160,13 @@ TEST(ObsExport, ValuesRoundTripThroughBothFormats) {
 }
 
 // ---------------------------------------------------------------------------
-// Singleton shims and the engine book into the process-wide registry
+// The engine, cache, decode tree and arenas book into the process registry
 // ---------------------------------------------------------------------------
 
 TEST(ObsIntegration, EngineBookingsLandInProcessRegistry) {
   obs::set_spans_enabled(true);
   auto& reg = obs::Registry::instance();
-  core::EngineCounters::instance().reset();
-  core::DegradationCounters::instance().reset();
-  for (std::size_t s = 0;
-       s < static_cast<std::size_t>(obs::Stage::kCount); ++s) {
-    obs::stage_histogram(static_cast<obs::Stage>(s)).reset();
-  }
+  reg.reset();
 
   const auto race = sim::simulate_race({"Indy500", 2019, 60,
                                         sim::Usage::kTest});
@@ -189,6 +186,39 @@ TEST(ObsIntegration, EngineBookingsLandInProcessRegistry) {
   EXPECT_EQ(obs::stage_histogram(obs::Stage::kPartition).count(), 2u);
   EXPECT_EQ(obs::stage_histogram(obs::Stage::kMerge).count(), 2u);
   EXPECT_EQ(obs::stage_histogram(obs::Stage::kFallback).count(), 0u);
+
+  // One RankNet forecast twice through a cached engine: a miss, then a hit.
+  const features::CarVocab vocab({race});
+  core::SeqModelConfig cfg;
+  cfg.cov_dim = features::CovariateConfig{}.dim();
+  cfg.hidden = 8;
+  cfg.embed_dim = 2;
+  cfg.vocab = vocab.size();
+  auto lstm = std::make_shared<core::LstmSeqModel>(cfg);
+  lstm->set_scaler(features::StandardScaler(17.0, 9.0));
+  core::RankNetForecaster ranknet(lstm, nullptr, vocab,
+                                  features::CovariateConfig{},
+                                  core::StatusSource::kOracle, "oracle");
+  ranknet.set_decode_mode(core::DecodeMode::kTree);
+  core::ParallelForecastEngine cached(ranknet, /*threads=*/1);
+  cached.set_forecast_cache(std::make_shared<core::ForecastCache>(4));
+  for (int i = 0; i < 2; ++i) {
+    util::Rng same_seed(23);
+    (void)cached.forecast(race, 40, 3, 4, same_seed);
+  }
+  EXPECT_EQ(cached.stats().cache_hits, 1u);
+
+  // Every layer metric perfbench reads by name is exported and has moved.
+  const std::string prom = reg.to_prometheus();
+  for (const char* name :
+       {"engine_forecasts", "engine_tasks", "engine_task_seconds",
+        "engine_wall_seconds", "forecast_cache_hits", "forecast_cache_misses",
+        "forecast_cache_insertions", "decode_tree_rows",
+        "decode_tree_branches", "workspace_block_allocs",
+        "workspace_high_water_bytes"}) {
+    EXPECT_GT(NumberAfter(prom, std::string("\nranknet_") + name + " "), 0.0)
+        << name;
+  }
 }
 
 TEST(ObsIntegration, SpanScopeRespectsGlobalSwitch) {

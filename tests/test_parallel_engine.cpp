@@ -12,10 +12,11 @@
 #include <thread>
 
 #include "core/baselines.hpp"
-#include "core/device_model.hpp"
 #include "core/parallel_engine.hpp"
 #include "core/ranknet.hpp"
+#include "obs/metrics.hpp"
 #include "simulator/season.hpp"
+#include "test_support.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -200,41 +201,42 @@ TEST_F(ParallelEngineTest, NonPartitionableFallsBackToDelegation) {
   EXPECT_TRUE(SamplesIdentical(direct, wrapped));
 }
 
-TEST_F(ParallelEngineTest, WorkspaceHealthMirroredIntoDegradationCounters) {
+TEST_F(ParallelEngineTest, WorkspaceStaysWarmAcrossEngineForecasts) {
   core::RankNetForecaster f(model_, nullptr, *vocab_,
                             features::CovariateConfig{},
                             core::StatusSource::kOracle, "oracle");
-  auto& global = core::DegradationCounters::instance();
+  using test_support::arena_counts;
 
   // threads=0 runs every task inline on the calling thread, so arena reuse
   // is deterministic (one thread_local workspace serves every epoch).
   core::ParallelForecastEngine engine(f, 0);
-  global.reset();
+  const auto cold = arena_counts();
   util::Rng warm_rng(31);
   (void)engine.forecast(*race_, 50, 3, 6, warm_rng);   // grows the arena
-  EXPECT_GT(global.workspace_epochs(), 0u);
+  EXPECT_GT(arena_counts().epochs, cold.epochs);
   util::Rng warm2_rng(31);
   (void)engine.forecast(*race_, 50, 3, 6, warm2_rng);  // closes warm epochs
 
-  const auto epochs_before = global.workspace_epochs();
-  const auto reused_before = global.workspace_reused_epochs();
-  const auto allocs_before = global.workspace_block_allocs();
+  const auto before = arena_counts();
   util::Rng rng(31);
   (void)engine.forecast(*race_, 50, 3, 6, rng);
-  EXPECT_GT(global.workspace_epochs(), epochs_before);
-  EXPECT_EQ(global.workspace_block_allocs(), allocs_before)
+  const auto after = arena_counts();
+  EXPECT_GT(after.epochs, before.epochs);
+  EXPECT_EQ(after.block_allocs, before.block_allocs)
       << "steady-state forecast allocated arena blocks";
-  EXPECT_EQ(global.workspace_epochs() - epochs_before,
-            global.workspace_reused_epochs() - reused_before)
+  EXPECT_EQ(after.epochs - before.epochs,
+            after.reused_epochs - before.reused_epochs)
       << "steady-state forecast had a non-reused workspace epoch";
 
-  // Worker threads book into the same global mirror.
+  // Worker threads book into the same process-wide counters.
   core::ParallelForecastEngine threaded(f, 2);
-  global.reset();
+  const auto pooled = arena_counts();
   util::Rng trng(31);
   (void)threaded.forecast(*race_, 50, 3, 6, trng);
-  EXPECT_GT(global.workspace_epochs(), 0u);
-  EXPECT_GE(global.workspace_epochs(), global.workspace_reused_epochs());
+  const auto pooled_after = arena_counts();
+  EXPECT_GT(pooled_after.epochs, pooled.epochs);
+  EXPECT_GE(pooled_after.epochs - pooled.epochs,
+            pooled_after.reused_epochs - pooled.reused_epochs);
 }
 
 TEST_F(ParallelEngineTest, OwningConstructorAndStats) {
@@ -243,7 +245,9 @@ TEST_F(ParallelEngineTest, OwningConstructorAndStats) {
   EXPECT_EQ(engine.name(), f->name());
   EXPECT_TRUE(engine.partitioned());
 
-  core::EngineCounters::instance().reset();
+  auto& reg = obs::Registry::instance();
+  const auto forecasts0 = reg.counter("engine.forecasts").value();
+  const auto tasks0 = reg.counter("engine.tasks").value();
   util::Rng rng(1);
   (void)engine.forecast(*race_, 50, 3, 4, rng);
   (void)engine.forecast(*race_, 60, 3, 4, rng);
@@ -254,10 +258,9 @@ TEST_F(ParallelEngineTest, OwningConstructorAndStats) {
   EXPECT_GE(stats.wall_seconds, 0.0);
   EXPECT_GE(stats.task_seconds, 0.0);
 
-  // Global counters mirror the per-engine stats.
-  const auto& counters = core::EngineCounters::instance();
-  EXPECT_EQ(counters.forecasts(), 2u);
-  EXPECT_EQ(counters.tasks(), stats.tasks);
+  // The process-wide "engine.*" counters sum the per-engine stats.
+  EXPECT_EQ(reg.counter("engine.forecasts").value() - forecasts0, 2u);
+  EXPECT_EQ(reg.counter("engine.tasks").value() - tasks0, stats.tasks);
 
   engine.reset_stats();
   EXPECT_EQ(engine.stats().forecasts, 0u);

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -998,6 +999,7 @@ TEST_F(ServeTest, SlowGroupDoesNotHoldBackOtherShards) {
              wire::encode_forecast_request(fast));
 
   std::vector<std::uint64_t> order;
+  std::map<std::uint64_t, wire::Tier> tiers;
   for (int i = 0; i < 2; ++i) {
     const auto frame = recv_frame(stream.value(), 10.0);
     ASSERT_TRUE(frame.ok()) << frame.status().to_string();
@@ -1005,9 +1007,13 @@ TEST_F(ServeTest, SlowGroupDoesNotHoldBackOtherShards) {
     ASSERT_TRUE(response.ok());
     EXPECT_TRUE(response.value().ok()) << response.value().message;
     order.push_back(response.value().request_id);
+    tiers[response.value().request_id] = response.value().tier;
   }
   EXPECT_EQ(order, (std::vector<std::uint64_t>{3, 1}))
       << "the cached request waited behind the slow group on another shard";
+  // Request 3's cache hit lands on another shard while request 1 computes;
+  // it must not relabel request 1's cold forecast.
+  EXPECT_EQ(tiers[1], wire::Tier::kFull);
 }
 
 TEST_F(ServeTest, SwapWaitsForInFlightGroupsAndAppliesToLaterRequests) {

@@ -1,5 +1,5 @@
-// Shared test fixtures: per-process scratch paths and a v3 model-artifact
-// builder.
+// Shared test fixtures: per-process scratch paths, a v3 model-artifact
+// builder and the workspace arena counters read by registry name.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 
 #include "nn/param.hpp"
 #include "nn/serialize.hpp"
+#include "obs/metrics.hpp"
 #include "util/string_util.hpp"
 
 namespace ranknet::test_support {
@@ -74,6 +75,24 @@ inline void write_v3_artifact(const std::string& path,
   file += payload;
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(file.data(), static_cast<std::streamsize>(file.size()));
+}
+
+/// The "workspace.*" arena counters, read from the process-wide
+/// obs::Registry by name (as perfbench and the Prometheus export read them).
+/// Tests diff two readings around the window they measure.
+struct ArenaCounts {
+  std::uint64_t epochs = 0;
+  std::uint64_t reused_epochs = 0;
+  std::uint64_t takes = 0;
+  std::uint64_t block_allocs = 0;
+};
+
+inline ArenaCounts arena_counts() {
+  auto& reg = obs::Registry::instance();
+  return {reg.counter("workspace.epochs").value(),
+          reg.counter("workspace.reused_epochs").value(),
+          reg.counter("workspace.takes").value(),
+          reg.counter("workspace.block_allocs").value()};
 }
 
 }  // namespace ranknet::test_support

@@ -9,6 +9,7 @@
 #include "tensor/serialize.hpp"
 #include "tensor/view.hpp"
 #include "tensor/workspace.hpp"
+#include "test_support.hpp"
 
 #include <sstream>
 
@@ -420,19 +421,21 @@ TEST(Workspace, GrowthKeepsOutstandingViewsValid) {
 }
 
 TEST(Workspace, CountersBookEpochsTakesAndReuse) {
-  auto& counters = ranknet::tensor::WorkspaceCounters::instance();
-  const auto before = counters.snapshot();
+  const auto before = ranknet::test_support::arena_counts();
   ranknet::tensor::Workspace ws;
   ws.begin();
   (void)ws.take(16, 16);
   ws.begin();  // warm epoch: no growth
   (void)ws.take(16, 16);
-  const auto after = counters.snapshot();
+  const auto after = ranknet::test_support::arena_counts();
   EXPECT_EQ(after.epochs - before.epochs, 2u);
   EXPECT_EQ(after.takes - before.takes, 2u);
   EXPECT_GE(after.block_allocs - before.block_allocs, 1u);
   EXPECT_GE(after.reused_epochs - before.reused_epochs, 1u);
-  EXPECT_GT(after.high_water_bytes, 0u);
+  EXPECT_GT(ranknet::obs::Registry::instance()
+                .gauge("workspace.high_water_bytes")
+                .value(),
+            0.0);
 }
 
 }  // namespace
