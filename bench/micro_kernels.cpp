@@ -134,9 +134,9 @@ void BM_LstmCellStep(benchmark::State& state, tk::Variant variant) {
 }
 
 void BM_FusedLstmCellStep(benchmark::State& state, tk::Variant variant) {
-  // Inference-session counterpart of BM_LstmCellStep: one packed GEMM per
-  // step over arena storage plus the fused gate epilogue (avx2), zero heap
-  // allocations once warm.
+  // Inference-session counterpart of BM_LstmCellStep: the same gate GEMM
+  // pair over the layer's weights in place and arena storage, plus the
+  // fused gate epilogue (avx2), zero heap allocations once warm.
   use_variant(variant);
   const auto batch = static_cast<std::size_t>(state.range(0));
   util::Rng rng(3);

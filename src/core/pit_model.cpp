@@ -126,7 +126,10 @@ PitModel::Prediction PitModel::predict(const PitFeatures& f) const {
 }
 
 int PitModel::sample(const PitFeatures& f, util::Rng& rng) const {
-  const auto p = predict(f);
+  return sample(predict(f), rng);
+}
+
+int PitModel::sample(const Prediction& p, util::Rng& rng) {
   const double draw = rng.normal(p.mean, p.stddev);
   return std::max(1, static_cast<int>(std::lround(draw)));
 }
@@ -174,30 +177,6 @@ PitModel::Prediction PitModel::InferenceSession::predict(
   p.mean = model_->scaler_.inverse(mu_(0, 0));
   p.stddev = model_->scaler_.inverse_scale(sigma_(0, 0));
   return p;
-}
-
-int PitModel::InferenceSession::sample(const PitFeatures& f,
-                                       util::Rng& rng) const {
-  const auto p = predict(f);
-  const double draw = rng.normal(p.mean, p.stddev);
-  return std::max(1, static_cast<int>(std::lround(draw)));
-}
-
-void PitModel::InferenceSession::sample_future_into(
-    const PitFeatures& now, std::span<double> lap_status,
-    util::Rng& rng) const {
-  const int horizon = static_cast<int>(lap_status.size());
-  for (auto& v : lap_status) v = 0.0;
-  PitFeatures f = now;
-  int lap = 0;
-  while (lap < horizon) {
-    const int to_pit = std::max(1, sample(f, rng));
-    const int pit_offset = lap + to_pit;
-    if (pit_offset > horizon) break;
-    lap_status[static_cast<std::size_t>(pit_offset - 1)] = 1.0;
-    lap = pit_offset;
-    f = PitFeatures{};
-  }
 }
 
 }  // namespace ranknet::core

@@ -68,6 +68,8 @@ class PitModel : public nn::Layer {
 
   /// Sample laps-to-next-pit (>= 1, rounded).
   int sample(const PitFeatures& f, util::Rng& rng) const;
+  /// The same draw from a prediction already made.
+  static int sample(const Prediction& p, util::Rng& rng);
 
   /// Sample a full future pit-status vector for the next `horizon` laps,
   /// starting from current features (Algorithm 2 step 1: successive stints
@@ -82,21 +84,14 @@ class PitModel : public nn::Layer {
   const features::StandardScaler& scaler() const { return scaler_; }
 
   /// Zero-allocation serving face of the MLP: all scratch comes from `ws`
-  /// at construction, so predict()/sample() allocate nothing. Bit-identical
-  /// to PitModel::predict/sample (same kernels, same draw order). Views
-  /// live until the next ws.begin(); the stint-loop draws are sequential
-  /// and data-dependent, so they are never batched or reordered.
+  /// at construction, so predict() allocates nothing. Bit-identical to
+  /// PitModel::predict (same kernels). Views live until the next
+  /// ws.begin().
   class InferenceSession {
    public:
     InferenceSession(const PitModel& model, tensor::Workspace& ws);
 
     Prediction predict(const PitFeatures& f) const;
-    int sample(const PitFeatures& f, util::Rng& rng) const;
-    /// Writes 0/1 pit flags for the next lap_status.size() laps (the span
-    /// is zeroed first); same draws as sample_future_lap_status.
-    void sample_future_into(const PitFeatures& now,
-                            std::span<double> lap_status,
-                            util::Rng& rng) const;
 
    private:
     const PitModel* model_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <span>
 #include <stdexcept>
 #include <string_view>
 
@@ -64,6 +65,20 @@ std::vector<int> active_cars(const RaceCache& rc, int origin_lap) {
     }
   }
   return cars;
+}
+
+/// The status sampler's view of `cars`: their streams and origin ranks.
+template <typename RaceCache>
+std::vector<StatusSampler::Car> sampler_cars(const RaceCache& rc,
+                                             std::span<const int> cars,
+                                             std::size_t origin) {
+  std::vector<StatusSampler::Car> out;
+  out.reserve(cars.size());
+  for (int car_id : cars) {
+    const auto& cc = rc.cars.at(car_id);
+    out.push_back({&cc.streams, cc.history[origin - 1]});
+  }
+  return out;
 }
 
 /// Branch-reuse metrics of the shared-prefix decode tree ("decode_tree.*",
@@ -167,43 +182,24 @@ RankNetForecaster::forecast_context(const RaceCache& rc, int origin_lap,
   std::lock_guard<std::mutex> fill(ctx->fill_mutex);
   if (ctx->filled) return ctx;
   const auto origin = static_cast<std::size_t>(origin_lap);
-  const auto h_count = static_cast<std::size_t>(horizon);
-  // Predicted status must cover the horizon plus the shift look-ahead; the
-  // decoder reads rows from the first replayed tail lap to the horizon.
-  const auto future_len =
-      h_count + static_cast<std::size_t>(cov_config_.shift);
-  const auto lo = origin - static_cast<std::size_t>(tail);
-  const auto window = static_cast<std::size_t>(tail) + h_count;
-
   // The status realization couples every active car (LeaderPitCount sees
   // the whole field), so it is drawn over the full car set whatever
-  // partition asks first.
+  // partition asks first. The decoder reads rows from the first replayed
+  // tail lap to the horizon.
   ctx->cars = active_cars(rc, origin_lap);
-  // Rank order at the origin, for LeaderPitCount of future laps.
-  std::map<int, double> origin_rank;
-  std::map<int, const features::StatusStreams*> stream_ptrs;
-  for (int car_id : ctx->cars) {
-    origin_rank[car_id] = rc.cars.at(car_id).history[origin - 1];
-    stream_ptrs[car_id] = &rc.cars.at(car_id).streams;
-  }
-  ctx->rows.resize(static_cast<std::size_t>(num_samples) * ctx->cars.size() *
-                   window * cov_config_.dim());
-  double* dst = ctx->rows.data();
+  StatusSampler sampler(*pit_model_, cov_config_,
+                        sampler_cars(rc, ctx->cars, origin), origin,
+                        static_cast<std::size_t>(horizon),
+                        origin - static_cast<std::size_t>(tail));
+  const std::size_t size = sampler.sample_size();
+  ctx->rows.resize(static_cast<std::size_t>(num_samples) * size);
+  const std::span<double> rows(ctx->rows);
   for (std::size_t s = 0; s < static_cast<std::size_t>(num_samples); ++s) {
     // One coupled race-status realization across all cars, from a child
     // stream keyed by the sample index alone (k2 = 0 keeps the status
     // keys disjoint from the per-row keys, which use k2 >= 1).
     util::Rng status_rng = util::Rng::stream(base, s, 0);
-    const auto realization =
-        sample_status_realization(stream_ptrs, origin_rank, *pit_model_,
-                                  cov_config_, origin, future_len, lo,
-                                  status_rng);
-    for (int car_id : ctx->cars) {
-      const auto& covs = realization.at(car_id);
-      for (std::size_t k = 0; k < window; ++k) {
-        dst = std::copy(covs[k].begin(), covs[k].end(), dst);
-      }
-    }
+    sampler.sample(status_rng, rows.subspan(s * size, size));
   }
   ctx->filled = true;
   return ctx;
@@ -557,49 +553,48 @@ RaceSamples TransformerForecaster::forecast(const telemetry::RaceLog& race,
   std::vector<std::vector<double>> history(rows);
   std::vector<std::vector<std::vector<double>>> covs(rows);
 
-  // cov_rows[k] is the covariate row of 0-based lap first_row + k.
-  const auto fill_row = [&](std::size_t row, int car_id,
-                            const std::vector<std::vector<double>>& cov_rows,
-                            std::size_t first_row,
-                            const std::vector<double>& ranks) {
+  // cov_row(t) is the covariate row of 0-based lap first_lap + t.
+  const auto fill_row = [&](std::size_t row, int car_id, const auto& cov_row) {
+    const auto& ranks = rc.cars.at(car_id).history;
     car_index[row] = vocab_.index(car_id);
     history[row].assign(ranks.begin() + static_cast<std::ptrdiff_t>(first_lap),
                         ranks.begin() + static_cast<std::ptrdiff_t>(origin));
     auto& cv = covs[row];
     cv.resize(ctx + h_count);
     for (std::size_t t = 0; t < ctx + h_count; ++t) {
-      const std::size_t k = first_lap + t - first_row;
-      cv[t] = k < cov_rows.size()
-                  ? cov_rows[k]
-                  : std::vector<double>(cov_config_.dim(), 0.0);
+      const std::span<const double> r = cov_row(t);
+      cv[t].assign(r.begin(), r.end());
     }
   };
 
+  const std::size_t dim = cov_config_.dim();
   if (source_ == StatusSource::kPitModel) {
-    const auto future_len =
-        h_count + static_cast<std::size_t>(cov_config_.shift);
-    std::map<int, double> origin_rank;
-    std::map<int, const features::StatusStreams*> stream_ptrs;
-    for (int car_id : cars) {
-      origin_rank[car_id] = rc.cars.at(car_id).history[origin - 1];
-      stream_ptrs[car_id] = &rc.cars.at(car_id).streams;
-    }
+    // Only the context window and the horizon are read: the realization
+    // starts at the first context lap.
+    StatusSampler sampler(*pit_model_, cov_config_,
+                          sampler_cars(rc, cars, origin), origin, h_count,
+                          first_lap);
+    std::vector<double> realization(sampler.sample_size());
     for (std::size_t s = 0; s < s_count; ++s) {
-      // Only the context window and the horizon are read: the realization
-      // starts at the first context lap.
-      const auto realization = sample_status_realization(
-          stream_ptrs, origin_rank, *pit_model_, cov_config_, origin,
-          future_len, first_lap, rng);
+      sampler.sample(rng, realization);
       for (std::size_t c = 0; c < cars.size(); ++c) {
-        fill_row(c * s_count + s, cars[c], realization.at(cars[c]), first_lap,
-                 rc.cars.at(cars[c]).history);
+        fill_row(c * s_count + s, cars[c], [&](std::size_t t) {
+          return std::span<const double>(
+              realization.data() + (c * sampler.rows() + t) * dim, dim);
+        });
       }
     }
   } else {
+    const std::vector<double> zeros(dim, 0.0);
     for (std::size_t c = 0; c < cars.size(); ++c) {
-      const auto& cc = rc.cars.at(cars[c]);
+      const auto& covariates = rc.cars.at(cars[c]).covariates;
+      const auto cov_row = [&](std::size_t t) {
+        const std::size_t k = first_lap + t;
+        return std::span<const double>(k < covariates.size() ? covariates[k]
+                                                             : zeros);
+      };
       for (std::size_t s = 0; s < s_count; ++s) {
-        fill_row(c * s_count + s, cars[c], cc.covariates, 0, cc.history);
+        fill_row(c * s_count + s, cars[c], cov_row);
       }
     }
   }

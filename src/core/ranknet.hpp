@@ -15,9 +15,11 @@
 //
 // Per-race LSTM state traces are cached so that evaluating hundreds of
 // forecast origins per race costs one encoder pass over the race instead of
-// one per origin. Under the PitModel the status realization of a forecast
-// is drawn once, over only the laps the decoder reads, and shared by all of
-// its car partitions.
+// one per origin. Under the PitModel the status realizations of a forecast
+// are drawn once, over only the laps the decoder reads, and shared by all
+// of its car partitions; one StatusSampler (core/status_forecast.hpp) does
+// the work its samples share once, so each sample only draws and writes
+// its rows.
 #pragma once
 
 #include <cstdint>

@@ -50,6 +50,39 @@ AgeState StatusStreams::ages_after(std::size_t laps) const {
   return ages;
 }
 
+void write_covariate_row(const StatusStreams& streams, std::size_t t,
+                         const CovariateConfig& config, const AgeState& ages,
+                         double* row) {
+  const std::size_t n = streams.laps();
+  if (config.race_status) {
+    *row++ = streams.track_status[t];
+    *row++ = streams.lap_status[t];
+  }
+  if (config.age_features) {
+    *row++ = ages.caution_laps / kCautionLapsScale;
+    *row++ = ages.pit_age / kPitAgeScale;
+  }
+  if (config.context_features) {
+    *row++ = (t < streams.leader_pit_count.size()
+                  ? streams.leader_pit_count[t]
+                  : 0.0) /
+             kPitCountScale;
+    *row++ = (t < streams.total_pit_count.size() ? streams.total_pit_count[t]
+                                                 : 0.0) /
+             kPitCountScale;
+  }
+  if (config.shift_features) {
+    const std::size_t ts = t + static_cast<std::size_t>(config.shift);
+    const bool in_range = ts < n;
+    *row++ = in_range ? streams.lap_status[ts] : 0.0;
+    *row++ = in_range ? streams.track_status[ts] : 0.0;
+    *row++ = (in_range && ts < streams.total_pit_count.size()
+                  ? streams.total_pit_count[ts]
+                  : 0.0) /
+             kPitCountScale;
+  }
+}
+
 std::vector<std::vector<double>> build_covariates(
     const StatusStreams& streams, const CovariateConfig& config,
     AgeState start) {
@@ -59,36 +92,8 @@ std::vector<std::vector<double>> build_covariates(
   AgeState ages = start;
   for (std::size_t t = 0; t < n; ++t) {
     ages.advance(streams.lap_status[t] > 0.5, streams.track_status[t] > 0.5);
-    auto& row = out[t];
-    row.reserve(config.dim());
-    if (config.race_status) {
-      row.push_back(streams.track_status[t]);
-      row.push_back(streams.lap_status[t]);
-    }
-    if (config.age_features) {
-      row.push_back(ages.caution_laps / kCautionLapsScale);
-      row.push_back(ages.pit_age / kPitAgeScale);
-    }
-    if (config.context_features) {
-      row.push_back(
-          (t < streams.leader_pit_count.size() ? streams.leader_pit_count[t]
-                                               : 0.0) /
-          kPitCountScale);
-      row.push_back(
-          (t < streams.total_pit_count.size() ? streams.total_pit_count[t]
-                                              : 0.0) /
-          kPitCountScale);
-    }
-    if (config.shift_features) {
-      const std::size_t ts = t + static_cast<std::size_t>(config.shift);
-      const bool in_range = ts < n;
-      row.push_back(in_range ? streams.lap_status[ts] : 0.0);
-      row.push_back(in_range ? streams.track_status[ts] : 0.0);
-      row.push_back((in_range && ts < streams.total_pit_count.size()
-                         ? streams.total_pit_count[ts]
-                         : 0.0) /
-                    kPitCountScale);
-    }
+    out[t].resize(config.dim());
+    write_covariate_row(streams, t, config, ages, out[t].data());
   }
   return out;
 }

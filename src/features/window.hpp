@@ -38,6 +38,13 @@ struct StatusStreams {
   static StatusStreams from_race(const telemetry::RaceLog& race, int car_id);
 };
 
+/// Write the covariate row of lap t of `streams` (config.dim() values) to
+/// `row`; `ages` is the age-feature state after lap t. The one formula for
+/// a row: build_covariates and the PitModel status sampler both call it.
+void write_covariate_row(const StatusStreams& streams, std::size_t t,
+                         const CovariateConfig& config, const AgeState& ages,
+                         double* row);
+
 /// Assemble the covariate vector for every lap in [0, streams.laps()).
 /// Age features are recomputed from the (possibly predicted) statuses, so
 /// the same code path serves training and forecasting.

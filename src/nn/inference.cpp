@@ -92,22 +92,7 @@ LstmInferenceSession::LstmInferenceSession(const LstmLayer& layer,
       in_(layer.input_dim()),
       hidden_(layer.hidden_dim()) {
   bias_ = tensor::ConstMatrixView(layer.bias()).row(0);
-
-  // Pack [wx ; wh] row-concatenated: rows [0, in) are wx, rows [in, in+H)
-  // are wh. One GEMM over [x | h] then walks exactly the same per-element
-  // accumulation order as the training cell's wx-then-wh GEMM pair.
-  w_packed_ = ws.take(in_ + hidden_, 4 * hidden_);
-  const tensor::Matrix& wx = layer.wx();
-  const tensor::Matrix& wh = layer.wh();
-  for (std::size_t r = 0; r < in_; ++r) {
-    for (std::size_t c = 0; c < 4 * hidden_; ++c) w_packed_(r, c) = wx(r, c);
-  }
-  for (std::size_t r = 0; r < hidden_; ++r) {
-    for (std::size_t c = 0; c < 4 * hidden_; ++c) {
-      w_packed_(in_ + r, c) = wh(r, c);
-    }
-  }
-  xh_ = ws.take_zeroed(batch_, in_ + hidden_);
+  x_ = ws.take_zeroed(batch_, in_);
   h_ = ws.take_zeroed(batch_, hidden_);
   c_ = ws.take_zeroed(batch_, hidden_);
   scratch_.gates = ws.take(batch_, 4 * hidden_);
@@ -190,13 +175,9 @@ void LstmInferenceSession::set_input(tensor::ConstMatrixView x) {
 }
 
 void LstmInferenceSession::step() {
-  // Pack the recurrent state into the tail columns of [x | h].
-  for (std::size_t r = 0; r < batch_; ++r) {
-    double* dst = xh_.data() + r * xh_.cols() + in_;
-    const double* src = h_.data() + r * hidden_;
-    for (std::size_t j = 0; j < hidden_; ++j) dst[j] = src[j];
-  }
-  tensor::lstm_cell_step(xh_, w_packed_, bias_, c_, h_, scratch_);
+  tensor::lstm_cell_step(x_, tensor::ConstMatrixView(layer_->wx()),
+                         tensor::ConstMatrixView(layer_->wh()), bias_, c_, h_,
+                         scratch_);
 }
 
 }  // namespace ranknet::nn

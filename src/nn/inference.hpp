@@ -1,11 +1,9 @@
 // Inference runtime: zero-allocation sessions over the training layers.
 //
 // A session is the serving face of a training layer. It borrows the layer's
-// weights (Dense/Gaussian/Embedding/Attention read them in place;
-// LstmInferenceSession packs [wx ; wh] into a Workspace once per session so
-// the decode loop runs one GEMM per layer per step) and runs every kernel
-// over caller-owned views, so after the arena warms up a decode step
-// performs zero heap allocations. The training graph (forward/backward,
+// weights — every session reads them in place, so building one copies no
+// weights — and runs every kernel over caller-owned views, so after the
+// arena warms up a decode step performs zero heap allocations. The training graph (forward/backward,
 // Adam, activation tapes) is untouched — sessions are rebuilt per forecast
 // call, so weight updates between calls are always visible.
 //
@@ -105,10 +103,10 @@ class GaussianInferenceSession {
   DenseInferenceSession mu_, sigma_;
 };
 
-/// Stateful LSTM decode session for a fixed batch size. Construction packs
-/// the layer's [wx ; wh] into `ws` (transpose-free: the packed matrix feeds
-/// the same row-major GEMM as the training cell) and takes all per-step
-/// scratch, so step() allocates nothing.
+/// Stateful LSTM decode session for a fixed batch size. It borrows the
+/// layer's wx, wh and bias and takes its input, state and per-step scratch
+/// from `ws` at construction, so building one copies no weights and step()
+/// allocates nothing.
 class LstmInferenceSession {
  public:
   LstmInferenceSession(const LstmLayer& layer, std::size_t batch,
@@ -130,16 +128,16 @@ class LstmInferenceSession {
   /// Copy the session state out into a training-path LstmState.
   void store_state(LstmState& state) const;
 
-  /// Input packing: the caller writes the input segment of row r (length
-  /// input_dim) before each step().
+  /// The caller writes input row r (length input_dim) before each step().
   std::span<double> x_row(std::size_t r) {
-    return {xh_.data() + r * xh_.cols(), in_};
+    return {x_.data() + r * in_, in_};
   }
-  /// Copy a full (batch x input_dim) matrix into the input segments.
+  /// Copy a full (batch x input_dim) matrix into the input rows.
   void set_input(tensor::ConstMatrixView x);
 
-  /// One decode step: packs h into [x | h], then runs the fused cell.
-  /// Bit-identical to LstmLayer::step on the same state and input.
+  /// One decode step: the training cell's x*wx, then h*wh, then the gate
+  /// epilogue, with h and c updated in place. Bit-identical to
+  /// LstmLayer::step on the same state and input.
   void step();
 
   tensor::MatrixView h() const { return h_; }
@@ -149,8 +147,7 @@ class LstmInferenceSession {
   const LstmLayer* layer_;
   std::size_t batch_, in_, hidden_;
   std::span<const double> bias_;   // borrowed from the layer
-  tensor::MatrixView w_packed_;    // (in+hidden) x 4*hidden
-  tensor::MatrixView xh_;          // batch x (in+hidden)
+  tensor::MatrixView x_;           // batch x in
   tensor::MatrixView h_, c_;       // batch x hidden
   tensor::LstmStepScratch scratch_;
 };

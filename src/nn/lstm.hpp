@@ -48,8 +48,8 @@ class LstmLayer : public Layer {
   std::size_t input_dim() const { return wx_.value.rows(); }
   std::size_t hidden_dim() const { return wh_.value.rows(); }
 
-  /// Read access for the inference runtime (LstmInferenceSession packs
-  /// [wx ; wh] from these on construction).
+  /// Read access for the inference runtime (LstmInferenceSession reads
+  /// the weights in place).
   const tensor::Matrix& wx() const { return wx_.value; }
   const tensor::Matrix& wh() const { return wh_.value; }
   const tensor::Matrix& bias() const { return b_.value; }

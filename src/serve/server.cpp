@@ -333,6 +333,18 @@ void ForecastServer::worker_loop() {
   // list nodes never move, so the job may hold a pointer to it.
   std::list<InFlight> in_flight;
   std::size_t in_flight_requests = 0;
+  // serve.shard.<i>.* handles by shard index, resolved once per shard.
+  std::vector<ShardMetrics> shard_metrics;
+  const auto metrics_for = [&shard_metrics](std::size_t index) {
+    auto& reg = obs::Registry::instance();
+    while (shard_metrics.size() <= index) {
+      const std::string prefix =
+          "serve.shard." + std::to_string(shard_metrics.size()) + ".";
+      shard_metrics.push_back(
+          {&reg.counter(prefix + "groups"), &reg.counter(prefix + "requests")});
+    }
+    return shard_metrics[index];
+  };
   const auto any_answered = [&in_flight] {
     return std::any_of(in_flight.begin(), in_flight.end(),
                        [](const InFlight& g) { return g.answered; });
@@ -438,7 +450,8 @@ void ForecastServer::worker_loop() {
         shard = model->fleet->shard_for(std::get<0>(key));
       }
       if (!shard) {
-        process_group(members, model.get(), nullptr);  // reject path: no model
+        // Reject path: no model.
+        process_group(members, model.get(), nullptr, {});
         continue;
       }
       InFlight& g = in_flight.emplace_back();
@@ -450,9 +463,10 @@ void ForecastServer::worker_loop() {
       // The job owns its requests and borrows the model and the shard,
       // which `g` pins until the job has returned.
       g.done = s->submit([this, members = std::move(members),
-                          model = model.get(), s, &g]() mutable {
+                          model = model.get(), s,
+                          shard_m = metrics_for(s->index()), &g]() mutable {
         try {
-          process_group(members, model, s);
+          process_group(members, model, s, shard_m);
         } catch (...) {
           // The group's requests go unanswered (their clients time out),
           // but its slot must still come back.
@@ -469,7 +483,8 @@ void ForecastServer::worker_loop() {
 
 void ForecastServer::process_group(std::vector<Pending>& members,
                                    const ServingModel* model,
-                                   core::RaceShard* shard) {
+                                   core::RaceShard* shard,
+                                   ShardMetrics shard_m) {
   const auto now = Clock::now();
   // Requests whose budget evaporated in the queue are explicit sheds.
   std::vector<Pending> live;
@@ -510,13 +525,8 @@ void ForecastServer::process_group(std::vector<Pending>& members,
   // a fleet (pre-init) fall back to the shard-0 alias.
   const auto& engine = shard ? shard->engine() : model->engine;
   if (shard) {
-    // serve.shard.<i>.* booking: find-or-create costs one registry lookup
-    // per *group*, not per request; the add itself is lock-free.
-    auto& reg = obs::Registry::instance();
-    const std::string prefix =
-        "serve.shard." + std::to_string(shard->index()) + ".";
-    reg.counter(prefix + "groups").add(1);
-    reg.counter(prefix + "requests").add(live.size());
+    shard_m.groups->add(1);
+    shard_m.requests->add(live.size());
   }
 
   wire::ForecastResponse response;

@@ -145,6 +145,13 @@ class ForecastServer {
   void handle_load_race(const std::shared_ptr<Conn>& conn,
                         std::span<const std::uint8_t> payload);
 
+  /// serve.shard.<i>.* handles. The worker resolves them the first time
+  /// it routes a group to shard i and passes them to the group's job.
+  struct ShardMetrics {
+    obs::Counter* groups = nullptr;
+    obs::Counter* requests = nullptr;
+  };
+
   /// Serve one micro-batch group (identical request parameters) with one
   /// engine call on `shard`; `members` all receive the same payload under
   /// their own request ids. Runs on the shard's driver thread (or the
@@ -152,9 +159,9 @@ class ForecastServer {
   /// then `shard` is null). The worker's in-flight entry for the group pins
   /// `model` and `shard` until the job returns, so raw pointers are safe
   /// here and the job never owns the shard (RaceShard::submit's lifetime
-  /// contract).
+  /// contract). `shard_m` holds `shard`'s handles.
   void process_group(std::vector<Pending>& members, const ServingModel* model,
-                     core::RaceShard* shard);
+                     core::RaceShard* shard, ShardMetrics shard_m);
   void respond(const std::shared_ptr<Conn>& conn,
                const wire::ForecastResponse& response);
   void send_frame(const std::shared_ptr<Conn>& conn, wire::FrameType type,

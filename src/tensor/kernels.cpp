@@ -79,9 +79,9 @@ namespace detail {
 // the C row — the bottleneck of the plain axpy form. Each `t += a*b` stays
 // its own mul-add (one rounding), so the per-element accumulation sequence
 // over p is unchanged: results are bit-identical to the unrolled-by-one
-// loop, and in particular one packed [x|h]*[wx;wh] GEMM matches the
-// beta=0/beta=1 pair it fuses (the chunk boundary only moves values
-// through memory, which does not re-round doubles).
+// loop, and a beta = 1 call continues each element's chain from C (the
+// chunk boundary only moves values through memory, which does not
+// re-round doubles).
 void gemm_nn_scalar(double alpha, const double* a, const double* b,
                     double beta, double* c, std::size_t m, std::size_t k,
                     std::size_t n) {
@@ -417,12 +417,13 @@ double squared_norm(const Matrix& m) {
   return s;
 }
 
-void lstm_cell_step(ConstMatrixView xh, ConstMatrixView w,
+void lstm_cell_step(ConstMatrixView x, ConstMatrixView wx, ConstMatrixView wh,
                     std::span<const double> bias, MatrixView c, MatrixView h,
                     const LstmStepScratch& scratch) {
-  const std::size_t batch = xh.rows();
+  const std::size_t batch = x.rows();
   const std::size_t hidden = c.cols();
-  assert(w.rows() == xh.cols() && w.cols() == 4 * hidden);
+  assert(wx.rows() == x.cols() && wx.cols() == 4 * hidden);
+  assert(wh.rows() == hidden && wh.cols() == 4 * hidden);
   assert(bias.size() == 4 * hidden);
   assert(h.rows() == batch && h.cols() == hidden && c.rows() == batch);
   assert(scratch.gates.rows() == batch && scratch.gates.cols() == 4 * hidden);
@@ -430,10 +431,23 @@ void lstm_cell_step(ConstMatrixView xh, ConstMatrixView w,
   assert(scratch.tg.rows() == batch && scratch.tg.cols() == hidden);
   assert(scratch.tanh_c.rows() == batch && scratch.tanh_c.cols() == hidden);
 
+  // The training cell's GEMM pair (h still holds h_prev here), booked as
+  // one kMatMul record for the fused op: every record is three updates of
+  // process-wide counters, which concurrent batch-1 encoder steps share.
   MatrixView gates = scratch.gates;
-  gemm(1.0, xh, false, w, false, 0.0, gates);
-
+  const std::size_t in = x.cols(), n = 4 * hidden;
   const auto& disp = kernels::dispatch();
+  run_kernel(Kernel::kMatMul, 2ULL * batch * n * (in + hidden),
+             8ULL * (batch * in + in * n + batch * hidden + hidden * n +
+                     3ULL * batch * n),
+             [&] {
+               kernels::note_call(disp.variant);
+               disp.gemm_nn(1.0, x.data(), wx.data(), 0.0, gates.data(), batch,
+                            in, n);
+               disp.gemm_nn(1.0, h.data(), wh.data(), 1.0, gates.data(),
+                            batch, hidden, n);
+             });
+
   if (disp.lstm_gates != nullptr) {
     // Fused gate epilogue (avx2): bias + activations + state update in one
     // pass over the gate matrix. Bit-identical to the staged sequence below

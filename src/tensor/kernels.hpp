@@ -100,22 +100,22 @@ struct LstmStepScratch {
 };
 
 /// One fused LSTM cell step over caller-owned storage:
-///   gates = [x | h_prev] * [wx ; wh] + b    (one packed GEMM)
+///   gates = x * wx + h_prev * wh + b        (the training cell's GEMM pair)
 ///   i,f,o = sigmoid; g = tanh
 ///   c     = f ⊙ c + i ⊙ g                   (c updated in place)
-///   h     = o ⊙ tanh(c)
-/// xh is (B x in+H) with h_prev already packed into columns [in, in+H);
-/// w is the row-concatenated (in+H x 4H) weight [wx ; wh], gate order
-/// [i f g o]; bias has 4H entries.
+///   h     = o ⊙ tanh(c)                     (h updated in place)
+/// x is (B x in), wx (in x 4H), wh (H x 4H), gate order [i f g o]; bias has
+/// 4H entries. h holds h_prev on entry and the new state on return; the
+/// weights are read in place.
 ///
-/// Bit-identity: concatenating the two gate GEMMs into one packed GEMM
-/// preserves the ikj per-element accumulation order of running x*wx (beta 0)
-/// then h_prev*wh (beta 1), and the activation/Hadamard stages execute the
-/// same inner loops as the unfused kernels, so the result is bit-identical
-/// to LstmLayer's training-path cell. Books one kMatMul record (summed
-/// flops of both halves) plus the same Add/Sigmoid/Tanh/Mul records as the
-/// unfused sequence.
-void lstm_cell_step(ConstMatrixView xh, ConstMatrixView w,
+/// Bit-identity: the gates are x*wx with beta 0, then h_prev*wh with beta 1
+/// — exactly LstmLayer's training-path cell. Both GEMM variants continue
+/// each element's sequential-k chain from C when beta is 1, and the
+/// activation/Hadamard stages execute the same inner loops as the unfused
+/// kernels, so the result is bit-identical to the training cell. Books one
+/// kMatMul record (the flops and bytes of both GEMMs) plus the same
+/// Add/Sigmoid/Tanh/Mul records as the unfused sequence.
+void lstm_cell_step(ConstMatrixView x, ConstMatrixView wx, ConstMatrixView wh,
                     std::span<const double> bias, MatrixView c, MatrixView h,
                     const LstmStepScratch& scratch);
 

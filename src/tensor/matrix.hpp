@@ -6,12 +6,47 @@
 
 #include <cassert>
 #include <cstddef>
+#include <new>
 #include <span>
 #include <vector>
 
 #include "util/rng.hpp"
 
 namespace ranknet::tensor {
+
+/// Matrix storage allocator: blocks of at least kAlignedBytes start on a
+/// 64-byte boundary, so a SIMD kernel that reads a weight matrix in place
+/// never splits a row load across cache lines (an inference session
+/// borrows its layer's weights instead of copying them into aligned
+/// scratch). Smaller blocks — per-car sample matrices, which a season run
+/// keeps by the thousand — keep the default alignment and footprint.
+template <typename T>
+struct MatrixAllocator {
+  using value_type = T;
+  static constexpr std::size_t kAlignedBytes = 1024;
+  static constexpr std::align_val_t kAlign{64};
+
+  MatrixAllocator() = default;
+  template <typename U>
+  MatrixAllocator(const MatrixAllocator<U>&) noexcept {}
+
+  T* allocate(std::size_t n) {
+    if (n * sizeof(T) >= kAlignedBytes) {
+      return static_cast<T*>(::operator new(n * sizeof(T), kAlign));
+    }
+    return std::allocator<T>{}.allocate(n);
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+    if (n * sizeof(T) >= kAlignedBytes) {
+      ::operator delete(p, n * sizeof(T), kAlign);
+    } else {
+      std::allocator<T>{}.deallocate(p, n);
+    }
+  }
+  friend bool operator==(const MatrixAllocator&, const MatrixAllocator&) {
+    return true;
+  }
+};
 
 class Matrix {
  public:
@@ -92,7 +127,7 @@ class Matrix {
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
-  std::vector<double> data_;
+  std::vector<double, MatrixAllocator<double>> data_;
 };
 
 using Vector = std::vector<double>;

@@ -1,7 +1,7 @@
 // Runtime-dispatched SIMD microkernels for the inference hot path.
 //
 // Every kernel in tensor/kernels.cpp that sits on the Monte-Carlo decode
-// path (the packed-GEMM + gate-nonlinearity sequence of the LSTM cell, the
+// path (the gate GEMM pair + gate-nonlinearity sequence of the LSTM cell, the
 // dense/Gaussian head, and the elementwise Hadamard updates) routes through
 // a per-process dispatch table selected here. Two variants exist:
 //
@@ -66,8 +66,9 @@ struct Dispatch {
 
   /// C = alpha*A*B + beta*C, A (m x k), B (k x n), all row-major dense.
   /// Contract: each C element accumulates strictly sequentially along k
-  /// (one chained FMA per element), so a packed [x|h]*[wx;wh] GEMM stays
-  /// bit-identical to the beta=0/beta=1 pair it fuses.
+  /// (one chained FMA per element), and beta = 1 continues that chain from
+  /// the value already in C — so the LSTM cell's x*wx (beta 0) then
+  /// h*wh (beta 1) pair rounds the same in every variant.
   void (*gemm_nn)(double alpha, const double* a, const double* b, double beta,
                   double* c, std::size_t m, std::size_t k, std::size_t n) =
       nullptr;
@@ -84,7 +85,7 @@ struct Dispatch {
   void (*add_bias_rows)(double* m, const double* bias, std::size_t rows,
                         std::size_t cols) = nullptr;
 
-  /// Fused LSTM gate epilogue after the packed GEMM. gates is (batch x 4H),
+  /// Fused LSTM gate epilogue after the gate GEMM pair. gates is (batch x 4H),
   /// bias has 4H entries, gate column layout [i f g o]; c and h are
   /// (batch x hidden), c updated in place. nullptr = staged fallback.
   void (*lstm_gates)(const double* gates, const double* bias, double* c,

@@ -9,9 +9,10 @@
 //     shared read-only operands), so engine thread count and sample-batch
 //     partitioning cannot change results.
 //   * Fixed per-element operation order: the GEMM accumulates strictly
-//     sequentially along k with one FMA per term, so a packed [x|h]*[wx;wh]
-//     GEMM is bit-identical to the beta=0/beta=1 pair it fuses, and tile /
-//     remainder shape never changes an element's rounding sequence.
+//     sequentially along k with one FMA per term (beta = 1 continues the
+//     chain from C), so the LSTM cell's beta=0/beta=1 gate GEMM pair rounds
+//     as in the scalar variant's order, and tile / remainder shape never
+//     changes an element's rounding sequence.
 //   * Lane-pure elementwise math: sigmoid/tanh are built from one shared
 //     4-lane exp whose every operation is lane-wise, so gathering,
 //     scattering, or fusing the gate nonlinearities cannot change a single

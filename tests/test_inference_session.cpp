@@ -189,7 +189,7 @@ TEST(LstmSession, LoadStoreStateRoundTripsAndXRowPacksInput) {
   const Matrix x = Matrix::randn(batch, 4, rng);
   const Matrix h_ref = layer.step(x, ref);
 
-  // Fill the input via the per-row packing span instead of set_input.
+  // Fill the input via the per-row input span instead of set_input.
   for (std::size_t r = 0; r < batch; ++r) {
     auto row = session.x_row(r);
     for (std::size_t c = 0; c < 4; ++c) row[c] = x(r, c);

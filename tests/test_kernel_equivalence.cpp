@@ -346,22 +346,26 @@ TEST_F(KernelVariants, FusedLstmGatesBitIdenticalToStagedAvx2) {
 }
 
 TEST_F(KernelVariants, LstmCellStepUlpAcrossVariants) {
-  // Full packed-GEMM + gate epilogue under each variant; hidden sizes are
-  // deliberately not multiples of 8 (or 4) to stress the lane tails.
+  // Full gate GEMM pair + gate epilogue under each variant; hidden sizes
+  // are deliberately not multiples of 8 (or 4) to stress the lane tails.
   util::Rng rng(31);
   for (const std::size_t hidden :
        {std::size_t{5}, std::size_t{13}, std::size_t{37}}) {
     const std::size_t batch = 7, in = 9;
     tensor::Workspace ws;
     ws.begin();
-    auto xh = ws.take(batch, in + hidden);
-    auto w = ws.take(in + hidden, 4 * hidden);
-    for (std::size_t i = 0; i < batch * (in + hidden); ++i) {
-      xh.data()[i] = rng.uniform() - 0.5;
+    auto x = ws.take(batch, in);
+    auto wx = ws.take(in, 4 * hidden);
+    auto wh = ws.take(hidden, 4 * hidden);
+    for (std::size_t i = 0; i < batch * in; ++i) {
+      x.data()[i] = rng.uniform() - 0.5;
     }
-    for (std::size_t i = 0; i < (in + hidden) * 4 * hidden; ++i) {
-      w.data()[i] = rng.uniform() - 0.5;
+    for (auto w : {wx, wh}) {
+      for (std::size_t i = 0; i < w.size(); ++i) {
+        w.data()[i] = rng.uniform() - 0.5;
+      }
     }
+    const auto h_init = random_vec(batch * hidden, rng);
     const auto bias = random_vec(4 * hidden, rng);
     const auto c_init = random_vec(batch * hidden, rng);
 
@@ -371,12 +375,13 @@ TEST_F(KernelVariants, LstmCellStepUlpAcrossVariants) {
       auto c = ws.take(batch, hidden);
       auto h = ws.take(batch, hidden);
       std::memcpy(c.data(), c_init.data(), 8 * batch * hidden);
+      std::memcpy(h.data(), h_init.data(), 8 * batch * hidden);
       tensor::LstmStepScratch scratch{
           ws.take(batch, 4 * hidden), ws.take(batch, 3 * hidden),
           ws.take(batch, hidden),     ws.take(batch, hidden),
           ws.take(batch, hidden),     ws.take(batch, hidden),
           ws.take(batch, hidden),     ws.take(batch, hidden)};
-      tensor::lstm_cell_step(xh, w, bias, c, h, scratch);
+      tensor::lstm_cell_step(x, wx, wh, bias, c, h, scratch);
       cs.emplace_back(c.data(), c.data() + batch * hidden);
       hs.emplace_back(h.data(), h.data() + batch * hidden);
     }

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstring>
 #include <future>
+#include <span>
 
 #include "core/parallel_engine.hpp"
 #include "core/ranknet.hpp"
@@ -294,63 +295,163 @@ TEST_F(ForecasterContract, RaceCacheFollowsACorrectedLogUnderTheSameId) {
       tf_again, transformer()->forecast(corrected, 60, 2, 3, tf_b)));
 }
 
-TEST_F(ForecasterContract, WindowedStatusRealizationMatchesFullBuild) {
-  // For every first row lo, the windowed realization is rows [lo, ...) of
-  // the full (lo = 0) build, bit for bit, with the same draws.
-  const auto bits = [](const std::vector<double>& a,
-                       const std::vector<double>& b) {
-    return a.size() == b.size() &&
-           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
-  };
+/// The status streams and origin ranks of the cars that reach `origin`,
+/// as a StatusSampler takes them.
+struct SamplerField {
+  std::map<int, features::StatusStreams> streams;
+  std::vector<core::StatusSampler::Car> cars;  // ascending car id
+
+  SamplerField(const telemetry::RaceLog& race, std::size_t origin) {
+    for (int car_id : race.car_ids()) {
+      const auto& car = race.car(car_id);
+      if (car.laps() < origin) continue;
+      streams[car_id] = features::StatusStreams::from_race(race, car_id);
+    }
+    for (const auto& [car_id, s] : streams) {
+      cars.push_back({&s, race.car(car_id).rank[origin - 1]});
+    }
+  }
+};
+
+bool RowBitsEqual(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// The covariate configs and origins the status-realization tests run.
+std::vector<features::CovariateConfig> StatusConfigs() {
   features::CovariateConfig no_shift;
   no_shift.shift_features = false;
   features::CovariateConfig no_context;
   no_context.context_features = false;
-  const features::CovariateConfig configs[] = {{}, no_shift, no_context};
+  return {{}, no_shift, no_context};
+}
+std::vector<int> StatusOrigins(int last) {
   const int shift = features::CovariateConfig{}.shift;
-  const int last = race_->num_laps();
+  return {2, 3, shift + 2, last / 2, last};
+}
+
+TEST_F(ForecasterContract, StatusSamplerMatchesReference) {
+  // Eight samples through one sampler, each row bit for bit against a
+  // reference built from the pieces the sampler stands for: per-car
+  // PitModel::sample_future_lap_status draws in car order, a naive
+  // LeaderPitCount, and build_covariates over the full (lo = 0) window.
+  // Pins the draw order, and catches scratch that leaks between samples.
+  constexpr int kSamples = 8;
+  constexpr std::size_t kHorizon = 2;
   const auto& pit = *PitsEveryFewLaps();  // sampled pits inside the window
-  for (const auto& config : configs) {
-    for (const int origin_lap : {2, 3, shift + 2, last / 2, last}) {
+  for (const auto& config : StatusConfigs()) {
+    const std::size_t future_len =
+        kHorizon + static_cast<std::size_t>(config.shift);
+    const std::size_t dim = config.dim();
+    for (const int origin_lap : StatusOrigins(race_->num_laps())) {
       const auto origin = static_cast<std::size_t>(origin_lap);
-      std::map<int, features::StatusStreams> owned;
-      std::map<int, const features::StatusStreams*> streams;
-      std::map<int, double> origin_rank;
-      for (int car_id : race_->car_ids()) {
-        const auto& car = race_->car(car_id);
-        if (car.laps() < origin) continue;
-        owned[car_id] = features::StatusStreams::from_race(*race_, car_id);
-        streams[car_id] = &owned[car_id];
-        origin_rank[car_id] = car.rank[origin - 1];
-      }
-      ASSERT_FALSE(streams.empty()) << "origin " << origin;
-      const std::size_t future_len = 4;
-      util::Rng full_rng(origin);
-      const auto full = core::sample_status_realization(
-          streams, origin_rank, pit, config, origin, future_len, 0, full_rng);
-      for (std::size_t lo = 1; lo <= origin; ++lo) {
-        util::Rng rng(origin);
-        const auto window = core::sample_status_realization(
-            streams, origin_rank, pit, config, origin, future_len, lo, rng);
-        EXPECT_EQ(rng(), util::Rng(full_rng)());  // same draws consumed
-        ASSERT_EQ(window.size(), full.size());
-        for (const auto& [car_id, rows] : full) {
-          const auto& got = window.at(car_id);
-          ASSERT_EQ(got.size(), rows.size() - lo)
-              << "origin " << origin << " lo " << lo;
-          for (std::size_t k = 0; k < got.size(); ++k) {
-            ASSERT_TRUE(bits(got[k], rows[lo + k]))
-                << "origin " << origin << " lo " << lo << " car " << car_id
-                << " row " << lo + k;
+      const SamplerField field(*race_, origin);
+      const std::size_t n = field.cars.size();
+      ASSERT_GT(n, 0u) << "origin " << origin;
+      core::StatusSampler sampler(pit, config, field.cars, origin, kHorizon,
+                                  0);
+      ASSERT_EQ(sampler.rows(), origin + kHorizon);
+      std::vector<double> got(sampler.sample_size());
+      util::Rng rng(origin), ref_rng(origin);
+      for (int s = 0; s < kSamples; ++s) {
+        sampler.sample(rng, got);
+
+        std::vector<std::vector<double>> pits;
+        for (const auto& car : field.cars) {
+          pits.push_back(pit.sample_future_lap_status(
+              car.streams->ages_after(origin), static_cast<int>(future_len),
+              ref_rng));
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+          const auto& mine = *field.cars[i].streams;
+          features::StatusStreams window;
+          const auto head = [origin](const std::vector<double>& v) {
+            return std::vector<double>(
+                v.begin(), v.begin() + static_cast<std::ptrdiff_t>(origin));
+          };
+          window.track_status = head(mine.track_status);
+          window.lap_status = head(mine.lap_status);
+          window.total_pit_count = head(mine.total_pit_count);
+          window.leader_pit_count = head(mine.leader_pit_count);
+          for (std::size_t t = 0; t < future_len; ++t) {
+            double total = 0.0, leaders = 0.0;
+            for (std::size_t j = 0; j < n; ++j) {
+              total += pits[j][t];
+              if (j != i && pits[j][t] > 0.5 &&
+                  field.cars[j].origin_rank < field.cars[i].origin_rank) {
+                leaders += 1.0;
+              }
+            }
+            window.track_status.push_back(0.0);
+            window.lap_status.push_back(pits[i][t]);
+            window.total_pit_count.push_back(total);
+            window.leader_pit_count.push_back(leaders);
+          }
+          const auto want = features::build_covariates(window, config);
+          for (std::size_t k = 0; k < sampler.rows(); ++k) {
+            ASSERT_TRUE(RowBitsEqual(
+                std::span<const double>(got).subspan(
+                    (i * sampler.rows() + k) * dim, dim),
+                want[k]))
+                << "origin " << origin << " sample " << s << " car " << i
+                << " row " << k;
           }
         }
       }
+      EXPECT_EQ(rng(), ref_rng());  // the same draws consumed
     }
   }
-  std::map<int, const features::StatusStreams*> none;
-  util::Rng rng(1);
-  EXPECT_THROW(core::sample_status_realization(none, {}, pit, {}, 10, 2, 11,
-                                               rng),
+}
+
+TEST_F(ForecasterContract, WindowedStatusRealizationMatchesFullBuild) {
+  // For every first row lo, the windowed sampler writes rows [lo, ...) of
+  // the full (lo = 0) build, bit for bit, with the same draws.
+  constexpr int kSamples = 2;
+  constexpr std::size_t kHorizon = 2;
+  const auto& pit = *PitsEveryFewLaps();
+  for (const auto& config : StatusConfigs()) {
+    const std::size_t dim = config.dim();
+    for (const int origin_lap : StatusOrigins(race_->num_laps())) {
+      const auto origin = static_cast<std::size_t>(origin_lap);
+      const SamplerField field(*race_, origin);
+      core::StatusSampler full_sampler(pit, config, field.cars, origin,
+                                       kHorizon, 0);
+      std::vector<double> full(kSamples * full_sampler.sample_size());
+      util::Rng full_rng(origin);
+      for (int s = 0; s < kSamples; ++s) {
+        full_sampler.sample(
+            full_rng, std::span<double>(full).subspan(
+                          s * full_sampler.sample_size(),
+                          full_sampler.sample_size()));
+      }
+      for (std::size_t lo = 1; lo <= origin; ++lo) {
+        core::StatusSampler sampler(pit, config, field.cars, origin, kHorizon,
+                                    lo);
+        ASSERT_EQ(sampler.rows(), full_sampler.rows() - lo);
+        std::vector<double> got(sampler.sample_size());
+        util::Rng rng(origin);
+        for (int s = 0; s < kSamples; ++s) {
+          sampler.sample(rng, got);
+          for (std::size_t i = 0; i < field.cars.size(); ++i) {
+            for (std::size_t k = 0; k < sampler.rows(); ++k) {
+              const std::size_t want_at =
+                  s * full_sampler.sample_size() +
+                  (i * full_sampler.rows() + lo + k) * dim;
+              ASSERT_TRUE(RowBitsEqual(
+                  std::span<const double>(got).subspan(
+                      (i * sampler.rows() + k) * dim, dim),
+                  std::span<const double>(full).subspan(want_at, dim)))
+                  << "origin " << origin << " lo " << lo << " car " << i
+                  << " row " << lo + k;
+            }
+          }
+        }
+        EXPECT_EQ(rng(), util::Rng(full_rng)());  // same draws consumed
+      }
+    }
+  }
+  EXPECT_THROW(core::StatusSampler(pit, {}, {}, 10, 2, 11),
                std::invalid_argument);
 }
 

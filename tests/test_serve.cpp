@@ -915,6 +915,18 @@ TEST_F(ServeTest, AddRaceUnderLoadNeverBlocksOrDropsServing) {
     }
   });
 
+  // serve.shard.<i>.* are process-wide: count this test's share as deltas.
+  const auto shard_sum = [](const char* what) {
+    std::uint64_t sum = 0;
+    for (std::size_t s = 0; s < 4; ++s) {
+      sum += counter_value(
+          ("serve.shard." + std::to_string(s) + "." + what).c_str());
+    }
+    return sum;
+  };
+  const std::uint64_t groups_before = shard_sum("groups");
+  const std::uint64_t requests_before = shard_sum("requests");
+
   constexpr int kClients = 3;
   constexpr int kPerClient = 25;
   std::atomic<int> answered{0};
@@ -942,14 +954,11 @@ TEST_F(ServeTest, AddRaceUnderLoadNeverBlocksOrDropsServing) {
 
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(answered.load(), kClients * kPerClient);
-  // Both races routed through the fleet: at least one serve.shard.* group
-  // counter moved.
-  std::uint64_t shard_groups = 0;
-  for (std::size_t s = 0; s < 4; ++s) {
-    shard_groups += counter_value(
-        ("serve.shard." + std::to_string(s) + ".groups").c_str());
-  }
-  EXPECT_GT(shard_groups, 0u);
+  // Both races routed through the fleet: the serve.shard.* group counters
+  // moved, and every request sent was booked on exactly one shard.
+  EXPECT_GT(shard_sum("groups"), groups_before);
+  EXPECT_EQ(shard_sum("requests") - requests_before,
+            static_cast<std::uint64_t>(kClients * kPerClient));
 }
 
 // --- per-group completion ---------------------------------------------------

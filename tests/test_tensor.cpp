@@ -148,19 +148,35 @@ TEST(Kernels, LstmCellStepMatchesNaiveOnOddHiddenSizes) {
         const Matrix bias_m = Matrix::randn(1, 4 * hidden, rng);
         const Matrix c0 = Matrix::randn(batch, hidden, rng);
 
+        // The cell reads x = xh[:, :in] and h_prev = xh[:, in:] against
+        // wx = w[:in] and wh = w[in:].
+        Matrix x(batch, in), wx(in, 4 * hidden), wh(hidden, 4 * hidden);
+        for (std::size_t r = 0; r < batch; ++r) {
+          for (std::size_t p = 0; p < in; ++p) x(r, p) = xh(r, p);
+        }
+        for (std::size_t p = 0; p < in + hidden; ++p) {
+          for (std::size_t col = 0; col < 4 * hidden; ++col) {
+            (p < in ? wx(p, col) : wh(p - in, col)) = w(p, col);
+          }
+        }
+
         t::Workspace ws;
         ws.begin();
         auto c = ws.take(batch, hidden);
         auto h = ws.take(batch, hidden);
-        for (std::size_t i = 0; i < batch * hidden; ++i) {
-          c.data()[i] = c0.flat()[i];
+        for (std::size_t r = 0; r < batch; ++r) {
+          for (std::size_t j = 0; j < hidden; ++j) {
+            c(r, j) = c0(r, j);
+            h(r, j) = xh(r, in + j);
+          }
         }
         t::LstmStepScratch scratch{
             ws.take(batch, 4 * hidden), ws.take(batch, 3 * hidden),
             ws.take(batch, hidden),     ws.take(batch, hidden),
             ws.take(batch, hidden),     ws.take(batch, hidden),
             ws.take(batch, hidden),     ws.take(batch, hidden)};
-        t::lstm_cell_step(t::ConstMatrixView(xh), t::ConstMatrixView(w),
+        t::lstm_cell_step(t::ConstMatrixView(x), t::ConstMatrixView(wx),
+                          t::ConstMatrixView(wh),
                           t::ConstMatrixView(bias_m).row(0), c, h, scratch);
 
         const auto sigmoid = [](double x) { return 1.0 / (1.0 + std::exp(-x)); };
