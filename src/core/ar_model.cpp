@@ -310,16 +310,31 @@ std::vector<LstmSeqModel::StackState> LstmSeqModel::trace(
 std::vector<double> LstmSeqModel::trace_flat(
     const std::vector<double>& history,
     const std::vector<std::vector<double>>& covs, int car_index) const {
-  std::vector<double> out;
-  if (history.size() > 1) {
-    out.reserve((history.size() - 1) * trace_step_size());
+  return std::move(
+      trace_checkpoints({&history, 1}, {&covs, 1}, {&car_index, 1}, 1)[0]);
+}
+
+std::vector<std::vector<double>> LstmSeqModel::trace_checkpoints(
+    std::span<const std::vector<double>> history,
+    std::span<const std::vector<std::vector<double>>> covs,
+    std::span<const int> car_index, std::size_t every) const {
+  if (every == 0) throw std::invalid_argument("trace_checkpoints: every == 0");
+  const std::size_t step_size = trace_step_size();
+  std::vector<std::vector<double>> out(history.size());
+  if (!history.empty() && history[0].size() > 1) {
+    const std::size_t kept = (history[0].size() - 2) / every + 1;
+    for (auto& buffer : out) buffer.reserve(kept * step_size);
   }
-  run_trace({&history, 1}, {&covs, 1}, {&car_index, 1},
+  std::size_t t = 0;
+  run_trace(history, covs, car_index,
             [&](std::span<const nn::LstmInferenceSession> stack) {
-              for (const auto& layer : stack) {
-                const auto h = layer.h(), c = layer.c();
-                out.insert(out.end(), h.data(), h.data() + h.size());
-                out.insert(out.end(), c.data(), c.data() + c.size());
+              if (t++ % every != 0) return;
+              for (std::size_t r = 0; r < out.size(); ++r) {
+                for (const auto& layer : stack) {
+                  const auto h = layer.h().row(r), c = layer.c().row(r);
+                  out[r].insert(out[r].end(), h.begin(), h.end());
+                  out[r].insert(out[r].end(), c.begin(), c.end());
+                }
               }
             });
   return out;
@@ -342,6 +357,22 @@ LstmSeqModel::StackState LstmSeqModel::state_from_trace(
     }
   }
   return state;
+}
+
+void LstmSeqModel::trace_from_state(const StackState& state,
+                                    std::span<double> out) const {
+  const std::size_t hidden = config_.hidden;
+  const std::size_t rows = state.empty() ? 0 : state[0].h.rows();
+  if (out.size() != rows * trace_step_size()) {
+    throw std::invalid_argument("trace_from_state: not one step per row");
+  }
+  double* dst = out.data();
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (const auto& layer : state) {
+      dst = std::copy_n(layer.h.data() + r * hidden, hidden, dst);
+      dst = std::copy_n(layer.c.data() + r * hidden, hidden, dst);
+    }
+  }
 }
 
 void LstmSeqModel::advance(StackState& state,

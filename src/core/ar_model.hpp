@@ -117,12 +117,25 @@ class LstmSeqModel : public nn::Layer {
     return config_.num_layers * 2 * config_.hidden;
   }
 
+  /// One batched trace of equal-length sequences that keeps only every
+  /// `every`-th step: out[r] holds steps 0, every, 2 * every, ... of
+  /// trace_flat(history[r], covs[r], car_index[r]), back to back. Rows are
+  /// independent, so each kept step equals trace_flat's bit for bit.
+  std::vector<std::vector<double>> trace_checkpoints(
+      std::span<const std::vector<double>> history,
+      std::span<const std::vector<std::vector<double>>> covs,
+      std::span<const int> car_index, std::size_t every) const;
+
   /// Decode start state with one row per entry of `steps`, each a flat
   /// trace step (trace_step_size() doubles). A step may appear several
   /// times (one row per MC sample). Plain copies, so every row holds the
   /// traced state bit for bit.
   StackState state_from_trace(
       std::span<const std::span<const double>> steps) const;
+
+  /// The inverse of state_from_trace: row r of `state` is written as the
+  /// flat trace step at out[r * trace_step_size()]. Plain copies.
+  void trace_from_state(const StackState& state, std::span<double> out) const;
 
   /// One teacher-forced step: consume [z_prev, cov] for each row and update
   /// `state` in place (no sampling). Used to re-run the last encoder laps
@@ -185,8 +198,9 @@ class LstmSeqModel : public nn::Layer {
   std::vector<nn::Parameter*> params() override;
 
  private:
-  /// The encoder loop behind trace() and trace_flat(): after each step it
-  /// hands the per-layer sessions, holding the new state, to `store`.
+  /// The encoder loop behind trace() and trace_checkpoints(): after each
+  /// step it hands the per-layer sessions, holding the new state, to
+  /// `store`.
   void run_trace(
       std::span<const std::vector<double>> history,
       std::span<const std::vector<std::vector<double>>> covs,

@@ -54,6 +54,11 @@ namespace {
 /// Forecast contexts a RankNetForecaster keeps.
 constexpr std::size_t kContextSlots = 4;
 
+/// A race cache keeps every kTraceEvery-th encoder step of each car; a
+/// forecast that starts between two replays up to kTraceEvery - 1 steps
+/// from the checkpoint below (DESIGN.md "Checkpointed encoder traces").
+constexpr std::size_t kTraceEvery = 4;
+
 /// Cars whose log reaches the forecast origin (their trace then has a state
 /// at the origin), ascending.
 template <typename RaceCache>
@@ -105,7 +110,51 @@ const DecodeTreeMetrics& decode_tree_metrics() {
   return m;
 }
 
+/// Encoder-trace metrics ("ranknet.*"), resolved once per process.
+/// `trace_bytes` is the checkpointed encoder state every live instance
+/// holds; `replay_steps` counts the row-steps forecasts replayed from those
+/// checkpoints.
+struct TraceMetrics {
+  obs::Gauge* trace_bytes;
+  obs::Counter* replay_steps;
+  TraceMetrics() {
+    auto& reg = obs::Registry::instance();
+    trace_bytes = &reg.gauge("ranknet.trace_bytes");
+    replay_steps = &reg.counter("ranknet.replay_steps");
+  }
+};
+
+const TraceMetrics& trace_metrics() {
+  static const TraceMetrics m;
+  return m;
+}
+
+/// The slot of `slots` that `matches`, or a new one that `init` keys, added
+/// last (the oldest dropped past kContextSlots). The caller holds the lock
+/// that guards `slots`.
+template <typename Slot, typename Matches, typename Init>
+std::shared_ptr<Slot> find_or_add_slot(
+    std::vector<std::shared_ptr<Slot>>& slots, const Matches& matches,
+    const Init& init) {
+  for (const auto& slot : slots) {
+    if (matches(*slot)) return slot;
+  }
+  if (slots.size() == kContextSlots) slots.erase(slots.begin());
+  init(*slots.emplace_back(std::make_shared<Slot>()));
+  return slots.back();
+}
+
+/// Encoder-state bytes a race cache holds.
+template <typename RaceCache>
+double held_bytes(const RaceCache& rc) {
+  std::size_t n = 0;
+  for (const auto& [car_id, cc] : rc.cars) n += cc.trace.size();
+  return static_cast<double>(n * sizeof(double));
+}
+
 }  // namespace
+
+RankNetForecaster::~RankNetForecaster() { clear_cache(); }
 
 const RankNetForecaster::RaceCache& RankNetForecaster::race_cache(
     const telemetry::RaceLog& race) {
@@ -114,6 +163,7 @@ const RankNetForecaster::RaceCache& RankNetForecaster::race_cache(
   RaceCache rc;
   rc.digest = race.digest();
   rc.generation = ++generations_;
+  std::map<std::size_t, std::vector<int>> by_laps;
   for (int car_id : race.car_ids()) {
     const auto& car = race.car(car_id);
     if (car.laps() < 3) continue;
@@ -121,12 +171,35 @@ const RankNetForecaster::RaceCache& RankNetForecaster::race_cache(
     cc.history = car.rank;
     cc.streams = features::StatusStreams::from_race(race, car_id);
     cc.covariates = features::build_covariates(cc.streams, cov_config_);
-    cc.trace = model_->trace_flat(cc.history, cc.covariates,
-                                  vocab_.index(car_id));
-    if (source_ == StatusSource::kPitModel) cc.covariates = {};
+    by_laps[car.laps()].push_back(car_id);
     rc.cars.emplace(car_id, std::move(cc));
   }
-  return cache_.insert_or_assign(race.id(), std::move(rc)).first->second;
+  // Cars of equal length trace as one batch; rows are independent, so
+  // each car's checkpoints are those of its own batch-1 trace.
+  for (const auto& [laps, ids] : by_laps) {
+    std::vector<std::vector<double>> history;
+    std::vector<std::vector<std::vector<double>>> covs;
+    std::vector<int> index;
+    for (int car_id : ids) {
+      auto& cc = rc.cars.at(car_id);
+      history.push_back(cc.history);
+      covs.push_back(std::move(cc.covariates));
+      index.push_back(vocab_.index(car_id));
+    }
+    auto traces =
+        model_->trace_checkpoints(history, covs, index, kTraceEvery);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      auto& cc = rc.cars.at(ids[i]);
+      cc.trace = std::move(traces[i]);
+      if (source_ != StatusSource::kPitModel) {
+        cc.covariates = std::move(covs[i]);
+      }
+    }
+  }
+  RaceCache& slot = cache_[race.id()];
+  trace_metrics().trace_bytes->add(held_bytes(rc) - held_bytes(slot));
+  slot = std::move(rc);
+  return slot;
 }
 
 void RankNetForecaster::prepare(const telemetry::RaceLog& race) {
@@ -134,9 +207,13 @@ void RankNetForecaster::prepare(const telemetry::RaceLog& race) {
 }
 
 void RankNetForecaster::clear_cache() {
+  for (const auto& [id, rc] : cache_) {
+    trace_metrics().trace_bytes->add(-held_bytes(rc));
+  }
   cache_.clear();
   std::lock_guard<std::mutex> lock(contexts_mutex_);
   contexts_.clear();
+  replays_.clear();
 }
 
 const RankNetForecaster::RaceCache* RankNetForecaster::find_cache(
@@ -159,24 +236,20 @@ RankNetForecaster::forecast_context(const RaceCache& rc, int origin_lap,
   std::shared_ptr<ForecastContext> ctx;
   {
     std::lock_guard<std::mutex> lock(contexts_mutex_);
-    for (const auto& slot : contexts_) {
-      if (slot->generation == rc.generation && slot->origin == origin_lap &&
-          slot->horizon == horizon && slot->samples == num_samples &&
-          slot->base == base) {
-        ctx = slot;
-        break;
-      }
-    }
-    if (ctx == nullptr) {
-      ctx = std::make_shared<ForecastContext>();
-      ctx->generation = rc.generation;
-      ctx->origin = origin_lap;
-      ctx->horizon = horizon;
-      ctx->samples = num_samples;
-      ctx->base = base;
-      if (contexts_.size() == kContextSlots) contexts_.erase(contexts_.begin());
-      contexts_.push_back(ctx);
-    }
+    ctx = find_or_add_slot(
+        contexts_,
+        [&](const ForecastContext& slot) {
+          return slot.generation == rc.generation &&
+                 slot.origin == origin_lap && slot.horizon == horizon &&
+                 slot.samples == num_samples && slot.base == base;
+        },
+        [&](ForecastContext& slot) {
+          slot.generation = rc.generation;
+          slot.origin = origin_lap;
+          slot.horizon = horizon;
+          slot.samples = num_samples;
+          slot.base = base;
+        });
   }
 
   std::lock_guard<std::mutex> fill(ctx->fill_mutex);
@@ -203,6 +276,74 @@ RankNetForecaster::forecast_context(const RaceCache& rc, int origin_lap,
   }
   ctx->filled = true;
   return ctx;
+}
+
+std::shared_ptr<const RankNetForecaster::ReplayedStep>
+RankNetForecaster::replayed_step(const RaceCache& rc, std::size_t step) {
+  std::shared_ptr<ReplayedStep> rs;
+  {
+    std::lock_guard<std::mutex> lock(contexts_mutex_);
+    rs = find_or_add_slot(
+        replays_,
+        [&](const ReplayedStep& slot) {
+          return slot.generation == rc.generation && slot.step == step;
+        },
+        [&](ReplayedStep& slot) {
+          slot.generation = rc.generation;
+          slot.step = step;
+        });
+  }
+
+  std::lock_guard<std::mutex> fill(rs->fill_mutex);
+  if (rs->filled) return rs;
+  // Load every traced car's checkpoint below `step` and replay the steps
+  // in between as one batch, teacher-forced with the inputs the trace
+  // consumed: z of lap t + 1 and the covariate row of lap t + 2 for step t,
+  // each row rebuilt by the one row formula build_covariates also calls.
+  // Each row then holds its traced state bit for bit.
+  const std::size_t step_size = model_->trace_step_size();
+  const std::size_t checkpoint = step / kTraceEvery * kTraceEvery;
+  std::vector<int> cars;
+  std::vector<std::span<const double>> starts;
+  std::vector<int> car_index;
+  for (const auto& [car_id, cc] : rc.cars) {
+    if (cc.history.size() < step + 2) continue;
+    cars.push_back(car_id);
+    starts.push_back(std::span<const double>(cc.trace).subspan(
+        checkpoint / kTraceEvery * step_size, step_size));
+    car_index.push_back(vocab_.index(car_id));
+  }
+  const std::size_t td = model_->config().target_dim;
+  const auto covariate_row = [&](const CarCache& cc, std::size_t row) {
+    std::vector<double> out(cov_config_.dim());
+    features::write_covariate_row(cc.streams, row, cov_config_,
+                                  cc.streams.ages_after(row + 1), out.data());
+    return out;
+  };
+  auto state = model_->state_from_trace(starts);
+  std::vector<std::vector<double>> z(cars.size()), covs(cars.size());
+  for (std::size_t t = checkpoint + 1; t <= step; ++t) {
+    for (std::size_t c = 0; c < cars.size(); ++c) {
+      const auto& cc = rc.cars.at(cars[c]);
+      z[c].assign(1, cc.history[t]);
+      if (td > 1) {
+        // Multivariate target: the aux dims ride in the leading covariates
+        // of the same lap, zero-filled past the row.
+        const auto aux = covariate_row(cc, t);
+        for (std::size_t j = 1; j < td; ++j) {
+          z[c].push_back(j - 1 < aux.size() ? aux[j - 1] : 0.0);
+        }
+      }
+      covs[c] = covariate_row(cc, t + 1);
+    }
+    model_->advance(state, z, covs, car_index);
+  }
+  rs->states.resize(cars.size() * step_size);
+  model_->trace_from_state(state, rs->states);
+  trace_metrics().replay_steps->add(cars.size() * (step - checkpoint));
+  rs->cars = std::move(cars);
+  rs->filled = true;
+  return rs;
 }
 
 RaceSamples RankNetForecaster::forecast(const telemetry::RaceLog& race,
@@ -257,18 +398,34 @@ RaceSamples RankNetForecaster::forecast_partition(
       static_cast<std::size_t>(tail));
   for (auto& step : tail_z) step.resize(rows);
 
-  // A car's encoder state before the tail replay: its flat trace step
-  // after lap origin - tail - 1.
+  // A car's encoder state before the tail replay: its trace step after lap
+  // origin - tail - 1. The race cache keeps every kTraceEvery-th step; any
+  // other is read from the replayed step shared by the partitions.
   const auto trace_idx = origin - 2 - static_cast<std::size_t>(tail);
   const std::size_t step_size = model_->trace_step_size();
-  const auto trace_step = [&](int car_id) {
-    const auto& trace = rc.cars.at(car_id).trace;
-    if ((trace_idx + 1) * step_size > trace.size()) {
+  for (const int car_id : cars) {
+    if (trace_idx + 2 > rc.cars.at(car_id).history.size()) {
       throw std::out_of_range("RankNetForecaster: car has no state at origin");
     }
-    return std::span<const double>(trace).subspan(trace_idx * step_size,
-                                                  step_size);
-  };
+  }
+  const auto replayed = trace_idx % kTraceEvery == 0
+                            ? nullptr
+                            : replayed_step(rc, trace_idx);
+  std::vector<std::span<const double>> car_steps(cars.size());
+  for (std::size_t c = 0; c < cars.size(); ++c) {
+    if (replayed == nullptr) {
+      car_steps[c] = std::span<const double>(rc.cars.at(cars[c]).trace)
+                         .subspan(trace_idx / kTraceEvery * step_size,
+                                  step_size);
+    } else {
+      const auto i = static_cast<std::size_t>(
+          std::lower_bound(replayed->cars.begin(), replayed->cars.end(),
+                           cars[c]) -
+          replayed->cars.begin());
+      car_steps[c] = std::span<const double>(replayed->states)
+                         .subspan(i * step_size, step_size);
+    }
+  }
 
   if (source_ == StatusSource::kPitModel) {
     const auto ctx = forecast_context(rc, origin_lap, horizon, num_samples,
@@ -431,7 +588,7 @@ RaceSamples RankNetForecaster::forecast_partition(
     for (auto& step : btail_covs) step.resize(n_branches);
     for (std::size_t b = 0; b < n_branches; ++b) {
       const std::size_t row = branch_rep[b];
-      branch_steps[b] = trace_step(cars[row / s_count]);
+      branch_steps[b] = car_steps[row / s_count];
       branch_car_index[b] = car_index[row];
       for (int t = 0; t < tail; ++t) {
         btail_z[static_cast<std::size_t>(t)][b] =
@@ -461,7 +618,7 @@ RaceSamples RankNetForecaster::forecast_partition(
     // ---- independent decode (historical path) -------------------------
     std::vector<std::span<const double>> row_steps(rows);
     for (std::size_t row = 0; row < rows; ++row) {
-      row_steps[row] = trace_step(cars[row / s_count]);
+      row_steps[row] = car_steps[row / s_count];
     }
     auto state = model_->state_from_trace(row_steps);
 

@@ -15,11 +15,16 @@
 //
 // Per-race LSTM state traces are cached so that evaluating hundreds of
 // forecast origins per race costs one encoder pass over the race instead of
-// one per origin. Under the PitModel the status realizations of a forecast
-// are drawn once, over only the laps the decoder reads, and shared by all
-// of its car partitions; one StatusSampler (core/status_forecast.hpp) does
-// the work its samples share once, so each sample only draws and writes
-// its rows.
+// one per origin. The pass runs each group of equal-length cars as one
+// batch and keeps a car's encoder state only every 4th lap: 320 B per
+// car-lap instead of 1,280 B at the paper's 2 x 40 stack. A forecast that
+// starts between two kept laps replays at most 3 teacher-forced steps for
+// the whole field in one batch, once, and its partitions share the result,
+// bit for bit the traced state (DESIGN.md "Checkpointed encoder traces").
+// Under the PitModel the status realizations of a forecast are drawn once,
+// over only the laps the decoder reads, and shared by all of its car
+// partitions; one StatusSampler (core/status_forecast.hpp) does the work
+// its samples share once, so each sample only draws and writes its rows.
 #pragma once
 
 #include <cstdint>
@@ -64,6 +69,9 @@ class RankNetForecaster : public RaceForecaster,
                     features::CovariateConfig cov_config, StatusSource source,
                     std::string name);
 
+  /// Books its traces off the ranknet.trace_bytes gauge.
+  ~RankNetForecaster() override;
+
   std::string name() const override { return name_; }
 
   /// Equivalent to forecast_partition over the full forecast_cars set with
@@ -101,9 +109,12 @@ class RankNetForecaster : public RaceForecaster,
     std::vector<double> history;  // observed ranks
     features::StatusStreams streams;
     /// Ground-truth covariate rows. kPitModel decodes against sampled rows
-    /// only, so it drops them once the trace is built.
+    /// only, so it drops them once the trace is built; a checkpoint replay
+    /// rebuilds the few rows it needs from `streams`.
     std::vector<std::vector<double>> covariates;
-    std::vector<double> trace;  // LstmSeqModel::trace_flat of the log
+    /// Steps 0, K, 2K, ... of LstmSeqModel::trace_flat of the log (K =
+    /// kTraceEvery in ranknet.cpp), back to back: trace_checkpoints' layout.
+    std::vector<double> trace;
   };
   /// Per-race caches are keyed on the race id and hold the content digest
   /// (RaceLog::digest) of the log they were built from: a log reloaded
@@ -132,6 +143,19 @@ class RankNetForecaster : public RaceForecaster,
     std::vector<double> rows;
   };
 
+  /// The encoder state of every car of a race cache after one trace step
+  /// the cache does not keep, replayed from the checkpoint below it. Like
+  /// a ForecastContext, the first partition that needs it fills it and the
+  /// other partitions of its forecasts read it.
+  struct ReplayedStep {
+    std::uint64_t generation = 0;  // of the RaceCache it was replayed over
+    std::size_t step = 0;
+    std::mutex fill_mutex;
+    bool filled = false;  // guarded by fill_mutex; the rest is then const
+    std::vector<int> cars;       // ascending: every car traced past `step`
+    std::vector<double> states;  // one flat trace step per car
+  };
+
   const RaceCache& race_cache(const telemetry::RaceLog& race);
   /// Read-only lookup (no insertion) — the thread-safe path used by
   /// forecast_partition after prepare() has warmed the cache. A stale entry
@@ -141,6 +165,9 @@ class RankNetForecaster : public RaceForecaster,
   std::shared_ptr<const ForecastContext> forecast_context(
       const RaceCache& rc, int origin_lap, int horizon, int num_samples,
       std::uint64_t base, int tail);
+  /// The filled replayed step; the first caller replays it.
+  std::shared_ptr<const ReplayedStep> replayed_step(const RaceCache& rc,
+                                                    std::size_t step);
 
   std::shared_ptr<const LstmSeqModel> model_;
   std::shared_ptr<const PitModel> pit_model_;  // only for kPitModel
@@ -151,11 +178,13 @@ class RankNetForecaster : public RaceForecaster,
   DecodeMode decode_mode_ = default_decode_mode();
   std::map<std::string, RaceCache> cache_;
   std::uint64_t generations_ = 0;  // RaceCache builds so far
-  /// The last few forecast contexts, oldest first. Partitions of one
-  /// forecast run back to back (or side by side on the engine pool), so a
-  /// handful of slots also covers forecasts interleaved on one instance.
+  /// The last few forecast contexts and replayed steps, oldest first.
+  /// Partitions of one forecast run back to back (or side by side on the
+  /// engine pool), so a handful of slots also covers forecasts interleaved
+  /// on one instance. contexts_mutex_ guards both lists.
   std::mutex contexts_mutex_;
   std::vector<std::shared_ptr<ForecastContext>> contexts_;
+  std::vector<std::shared_ptr<ReplayedStep>> replays_;
 };
 
 /// Transformer-based RankNet (paper Section IV-I): same Algorithm-2

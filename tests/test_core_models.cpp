@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <map>
 #include <span>
 
 #include "core/ar_model.hpp"
@@ -125,7 +126,15 @@ TEST(LstmSeqModel, LearnsCovariateDrivenJump) {
   EXPECT_GT(with_jump, without + 2.5);
 }
 
+bool BitsEqual(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
 TEST(LstmSeqModel, TraceMatchesManualAdvance) {
+  // Bit for bit, not approximately: a forecast starts from a checkpointed
+  // trace step and replays the steps after it through advance(), so its
+  // bytes rest on this.
   LstmSeqModel model(toy_config());
   model.set_scaler(toy_scaler());
   const std::vector<std::vector<double>> history{{10, 11, 12, 13}};
@@ -137,9 +146,113 @@ TEST(LstmSeqModel, TraceMatchesManualAdvance) {
   auto state = trace[1];
   model.advance(state, {{history[0][2]}}, {covs[0][3]}, {0});
   for (std::size_t l = 0; l < state.size(); ++l) {
-    for (std::size_t i = 0; i < state[l].h.size(); ++i) {
-      EXPECT_NEAR(state[l].h.flat()[i], trace[2][l].h.flat()[i], 1e-12);
-      EXPECT_NEAR(state[l].c.flat()[i], trace[2][l].c.flat()[i], 1e-12);
+    EXPECT_TRUE(BitsEqual(state[l].h.flat(), trace[2][l].h.flat()));
+    EXPECT_TRUE(BitsEqual(state[l].c.flat(), trace[2][l].c.flat()));
+  }
+
+  // Every step of a multi-lap trace, rebuilt from the checkpoint at or
+  // below it as a forecast does: load the kept step, then advance with the
+  // inputs the trace consumed at each later step (z of that lap, the next
+  // lap's covariate row). A multivariate target carries its aux dims in
+  // the leading covariates of the same lap, as run_trace packs them.
+  for (const std::size_t target_dim : {std::size_t{1}, std::size_t{3}}) {
+    auto cfg = toy_config();
+    cfg.cov_dim = 3;
+    cfg.target_dim = target_dim;
+    LstmSeqModel m(cfg);
+    m.set_scaler(toy_scaler());
+    util::Rng rng(target_dim);
+    const std::size_t laps = 23;
+    std::vector<double> ranks(laps);
+    std::vector<std::vector<double>> rows(laps, std::vector<double>(3));
+    for (std::size_t t = 0; t < laps; ++t) {
+      ranks[t] = rng.uniform(1.0, 33.0);
+      for (auto& v : rows[t]) v = rng.bernoulli(0.3) ? 1.0 : 0.0;
+    }
+    const auto flat = m.trace_flat(ranks, rows, 1);
+    const std::size_t step = m.trace_step_size();
+    ASSERT_EQ(flat.size(), (laps - 1) * step);
+    for (const std::size_t every : {std::size_t{1}, std::size_t{4},
+                                    std::size_t{5}}) {
+      const auto kept = m.trace_checkpoints({&ranks, 1}, {&rows, 1},
+                                            std::vector<int>{1}, every)[0];
+      ASSERT_EQ(kept.size(), ((laps - 2) / every + 1) * step);
+      for (std::size_t t = 0; t + 1 < laps; ++t) {
+        const std::size_t from = t / every;
+        const std::span<const double> checkpoint =
+            std::span<const double>(kept).subspan(from * step, step);
+        auto replayed = m.state_from_trace({&checkpoint, 1});
+        for (std::size_t u = from * every + 1; u <= t; ++u) {
+          std::vector<double> z{ranks[u]};
+          for (std::size_t j = 1; j < target_dim; ++j) {
+            z.push_back(rows[u][j - 1]);
+          }
+          m.advance(replayed, {z}, {rows[u + 1]}, {1});
+        }
+        std::vector<double> got(step);
+        m.trace_from_state(replayed, got);
+        EXPECT_TRUE(BitsEqual(
+            got, std::span<const double>(flat).subspan(t * step, step)))
+            << "target_dim " << target_dim << " every " << every
+            << " step " << t;
+      }
+    }
+  }
+}
+
+TEST(LstmSeqModel, BatchedCheckpointsMatchPerCarTraceOnARaggedField) {
+  // A race cache traces each group of equal-length cars in one batch and
+  // keeps every 4th step. On a ragged field (one car withdrawn early, one
+  // with two laps, cars retired at their own laps) every kept step equals
+  // the car's own batch-1 trace bit for bit.
+  const auto race = sim::simulate_race({"Indy500", 2019, 60, sim::Usage::kTest});
+  const auto ids = race.car_ids();
+  ASSERT_GE(ids.size(), 3u);
+  std::vector<telemetry::LapRecord> records;
+  for (const auto& rec : race.records()) {
+    if (rec.car_id == ids[0] && rec.lap > 21) continue;  // withdrawn
+    if (rec.car_id == ids[1] && rec.lap > 2) continue;   // under 3 laps
+    records.push_back(rec);
+  }
+  const telemetry::RaceLog ragged(race.info(), std::move(records));
+  const features::CovariateConfig cov_config;
+  const features::CarVocab vocab({ragged});
+  auto cfg = toy_config();
+  cfg.cov_dim = cov_config.dim();
+  cfg.vocab = vocab.size();
+  LstmSeqModel model(cfg);
+  model.set_scaler(features::StandardScaler(17.0, 9.0));
+  const std::size_t step = model.trace_step_size();
+  constexpr std::size_t kEvery = 4;
+
+  std::map<std::size_t, std::vector<int>> by_laps;
+  for (const int car_id : ragged.car_ids()) {
+    by_laps[ragged.car(car_id).laps()].push_back(car_id);
+  }
+  ASSERT_GE(by_laps.size(), 3u);
+  for (const auto& [laps, group] : by_laps) {
+    std::vector<std::vector<double>> history;
+    std::vector<std::vector<std::vector<double>>> covs;
+    std::vector<int> index;
+    for (const int car_id : group) {
+      history.push_back(ragged.car(car_id).rank);
+      covs.push_back(features::build_covariates(
+          features::StatusStreams::from_race(ragged, car_id), cov_config));
+      index.push_back(vocab.index(car_id));
+    }
+    const auto kept = model.trace_checkpoints(history, covs, index, kEvery);
+    ASSERT_EQ(kept.size(), group.size());
+    for (std::size_t i = 0; i < group.size(); ++i) {
+      const auto flat = model.trace_flat(history[i], covs[i], index[i]);
+      ASSERT_EQ(flat.size(), laps > 1 ? (laps - 1) * step : 0u);
+      const std::size_t n = laps > 1 ? (laps - 2) / kEvery + 1 : 0;
+      ASSERT_EQ(kept[i].size(), n * step) << "car " << group[i];
+      for (std::size_t k = 0; k < n; ++k) {
+        EXPECT_TRUE(BitsEqual(
+            std::span<const double>(kept[i]).subspan(k * step, step),
+            std::span<const double>(flat).subspan(k * kEvery * step, step)))
+            << "car " << group[i] << " checkpoint " << k;
+      }
     }
   }
 }
@@ -157,17 +270,13 @@ TEST(LstmSeqModel, FlatTraceMatchesTraceBitForBit) {
   const std::size_t step = model.trace_step_size();
   ASSERT_EQ(step, cfg.num_layers * 2 * cfg.hidden);
   ASSERT_EQ(flat.size(), trace.size() * step);
-  const auto bits = [](std::span<const double> a, std::span<const double> b) {
-    return a.size() == b.size() &&
-           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
-  };
   for (std::size_t t = 0; t < trace.size(); ++t) {
     const auto slice = std::span<const double>(flat).subspan(t * step, step);
     for (std::size_t l = 0; l < cfg.num_layers; ++l) {
       const auto h = slice.subspan(2 * l * cfg.hidden, cfg.hidden);
       const auto c = slice.subspan((2 * l + 1) * cfg.hidden, cfg.hidden);
-      EXPECT_TRUE(bits(h, trace[t][l].h.flat())) << "step " << t << " h" << l;
-      EXPECT_TRUE(bits(c, trace[t][l].c.flat())) << "step " << t << " c" << l;
+      EXPECT_TRUE(BitsEqual(h, trace[t][l].h.flat())) << "step " << t << " h" << l;
+      EXPECT_TRUE(BitsEqual(c, trace[t][l].c.flat())) << "step " << t << " c" << l;
     }
   }
 }

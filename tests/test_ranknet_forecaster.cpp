@@ -1,19 +1,22 @@
 // Forecaster-level tests of RankNetForecaster / TransformerForecaster using
 // tiny untrained models (fast): shape contracts, determinism for a fixed
 // seed, cache behavior, status-source differences, the windowed status
-// realization, and the per-forecast status context under partitioning and
-// concurrency (the ForecastContext suite also runs under the `fleet` label,
+// realization, the per-forecast status context under partitioning and
+// concurrency, and forecasts from checkpointed encoder traces against
+// full ones (the ForecastContext suite also runs under the `fleet` label,
 // so the fleet-tsan preset vets it).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
 #include <future>
+#include <map>
 #include <span>
 
 #include "core/parallel_engine.hpp"
 #include "core/ranknet.hpp"
 #include "core/status_forecast.hpp"
+#include "obs/metrics.hpp"
 #include "simulator/season.hpp"
 #include "util/thread_pool.hpp"
 
@@ -106,6 +109,107 @@ telemetry::RaceLog LapPrefix(const telemetry::RaceLog& race, int laps) {
   }
   return telemetry::RaceLog(race.info(), std::move(records));
 }
+
+/// A ragged 40-lap field: the first 40 laps of `race`, with one car
+/// withdrawn after lap 21 and one stopped after lap 2 (too short to trace).
+telemetry::RaceLog RaggedPrefix(const telemetry::RaceLog& race) {
+  const auto ids = race.car_ids();
+  std::vector<telemetry::LapRecord> records;
+  for (const auto& rec : race.records()) {
+    if (rec.lap > 40) continue;
+    if (rec.car_id == ids[0] && rec.lap > 21) continue;
+    if (rec.car_id == ids[1] && rec.lap > 2) continue;
+    records.push_back(rec);
+  }
+  return telemetry::RaceLog(race.info(), std::move(records));
+}
+
+/// The decode of a ground-truth-source RankNetForecaster (Oracle, Joint,
+/// DeepAR) rebuilt from each car's full trace_flat through public
+/// LstmSeqModel calls only: the spec the checkpointed race cache must meet
+/// bit for bit.
+class FullTraceReference {
+ public:
+  FullTraceReference(std::shared_ptr<const core::LstmSeqModel> model,
+                     const telemetry::RaceLog& race,
+                     const features::CarVocab& vocab,
+                     features::CovariateConfig config)
+      : model_(std::move(model)), config_(config) {
+    for (const int car_id : race.car_ids()) {
+      if (race.car(car_id).laps() < 3) continue;
+      Car car;
+      car.index = vocab.index(car_id);
+      car.history = race.car(car_id).rank;
+      car.covariates = features::build_covariates(
+          features::StatusStreams::from_race(race, car_id), config_);
+      car.trace = model_->trace_flat(car.history, car.covariates, car.index);
+      cars_.emplace(car_id, std::move(car));
+    }
+  }
+
+  core::RaceSamples decode(int origin_lap, int horizon, int samples,
+                           std::uint64_t base,
+                           std::span<const int> cars) const {
+    const auto origin = static_cast<std::size_t>(origin_lap);
+    const std::size_t step = model_->trace_step_size();
+    const std::size_t td = model_->config().target_dim;
+    std::vector<std::span<const double>> steps;
+    std::vector<std::vector<double>> z_prev;
+    std::vector<std::vector<std::vector<double>>> future_covs;
+    std::vector<int> car_index;
+    std::vector<util::Rng> row_rngs;
+    for (const int car_id : cars) {
+      const Car& car = cars_.at(car_id);
+      for (int s = 0; s < samples; ++s) {
+        steps.push_back(std::span<const double>(car.trace).subspan(
+            (origin - 2) * step, step));
+        std::vector<double> z{car.history[origin - 1]};
+        const auto& aux = car.covariates[origin - 1];
+        for (std::size_t j = 1; j < td; ++j) {
+          z.push_back(j - 1 < aux.size() ? aux[j - 1] : 0.0);
+        }
+        z_prev.push_back(std::move(z));
+        auto& fc = future_covs.emplace_back();
+        for (int h = 0; h < horizon; ++h) {
+          const std::size_t lap = origin + static_cast<std::size_t>(h);
+          fc.push_back(lap < car.covariates.size()
+                           ? car.covariates[lap]
+                           : std::vector<double>(config_.dim(), 0.0));
+        }
+        car_index.push_back(car.index);
+        row_rngs.push_back(util::Rng::stream(
+            base, static_cast<std::uint64_t>(car_id),
+            static_cast<std::uint64_t>(s) + 1));
+      }
+    }
+    auto state = model_->state_from_trace(steps);
+    const auto out = model_->sample_forward(state, z_prev, future_covs,
+                                            car_index, horizon, row_rngs);
+    core::RaceSamples result;
+    for (std::size_t c = 0; c < cars.size(); ++c) {
+      tensor::Matrix m(static_cast<std::size_t>(samples),
+                       static_cast<std::size_t>(horizon));
+      for (std::size_t r = 0; r < m.rows(); ++r) {
+        for (std::size_t h = 0; h < m.cols(); ++h) {
+          m(r, h) = out(c * m.rows() + r, h);
+        }
+      }
+      result.emplace(cars[c], std::move(m));
+    }
+    return result;
+  }
+
+ private:
+  struct Car {
+    int index = 0;
+    std::vector<double> history;
+    std::vector<std::vector<double>> covariates;
+    std::vector<double> trace;
+  };
+  std::shared_ptr<const core::LstmSeqModel> model_;
+  features::CovariateConfig config_;
+  std::map<int, Car> cars_;
+};
 
 TEST_F(ForecasterContract, OracleShapesAndDeterminism) {
   core::RankNetForecaster f(model_, nullptr, *vocab_,
@@ -293,6 +397,45 @@ TEST_F(ForecasterContract, RaceCacheFollowsACorrectedLogUnderTheSameId) {
   const auto tf_again = tf_reused->forecast(corrected, 60, 2, 3, tf_a);
   EXPECT_TRUE(SamplesIdentical(
       tf_again, transformer()->forecast(corrected, 60, 2, 3, tf_b)));
+}
+
+TEST_F(ForecasterContract, TraceBytesGaugeFollowsTheHeldTraces) {
+  // ranknet.trace_bytes counts the checkpointed encoder state every live
+  // instance holds: 1 step in 4 per car, so ((laps - 2) / 4 + 1) steps.
+  auto& reg = obs::Registry::instance();
+  const auto& gauge = reg.gauge("ranknet.trace_bytes");
+  const auto& replays = reg.counter("ranknet.replay_steps");
+  const auto held = [&](const telemetry::RaceLog& race) {
+    double bytes = 0.0;
+    for (const int car_id : race.car_ids()) {
+      const std::size_t laps = race.car(car_id).laps();
+      if (laps < 3) continue;
+      bytes += static_cast<double>(((laps - 2) / 4 + 1) *
+                                   model_->trace_step_size() * sizeof(double));
+    }
+    return bytes;
+  };
+  const double start = gauge.value();
+  const auto prefix = LapPrefix(*race_, 50);
+  {
+    core::RankNetForecaster f(model_, nullptr, *vocab_,
+                              features::CovariateConfig{},
+                              core::StatusSource::kOracle, "oracle");
+    f.prepare(prefix);
+    EXPECT_EQ(gauge.value(), start + held(prefix));
+    f.prepare(*race_);  // replaces the shorter log under the same id
+    EXPECT_EQ(gauge.value(), start + held(*race_));
+    f.clear_cache();
+    EXPECT_EQ(gauge.value(), start);
+
+    // Origin 12 starts the decode at trace step 10 = checkpoint 8 + 2.
+    const auto before = replays.value();
+    util::Rng rng(3);
+    const auto samples = f.forecast(*race_, 12, 2, 3, rng);
+    EXPECT_EQ(replays.value() - before, 2 * samples.size());
+    EXPECT_EQ(gauge.value(), start + held(*race_));
+  }
+  EXPECT_EQ(gauge.value(), start);
 }
 
 /// The status streams and origin ranks of the cars that reach `origin`,
@@ -588,6 +731,111 @@ TEST_F(ForecastContext, EngineThreadsAndConcurrentCallersMatchFreshWholeField) {
     }));
   }
   for (auto& caller : callers) EXPECT_TRUE(caller.get());
+}
+
+TEST_F(ForecastContext, CheckpointReplayMatchesFullTraceAtEveryOrigin) {
+  // Every origin of a ragged 40-lap race, so forecasts start on, just
+  // before and just after each kept trace step. The Oracle decodes equal a
+  // reference decoded from the full batch-1 traces; the PitModel decode
+  // tree (its tail replay starts two steps earlier) equals independent
+  // decode. Each origin is forecast on the log and then on a corrected
+  // copy under the same id, so a step replayed over one log must not be
+  // read for the other.
+  const auto ragged = RaggedPrefix(*race_);
+  auto records = ragged.records();
+  for (auto& rec : records) {
+    if (rec.car_id == ragged.car_ids()[2] && rec.lap >= 5 && rec.lap <= 30) {
+      rec.rank = rec.rank == 1 ? 2 : rec.rank - 1;
+    }
+  }
+  const telemetry::RaceLog corrected(ragged.info(), std::move(records));
+  ASSERT_NE(corrected.digest(), ragged.digest());
+  core::RankNetForecaster oracle(model_, nullptr, *vocab_,
+                                 features::CovariateConfig{},
+                                 core::StatusSource::kOracle, "oracle");
+  const FullTraceReference ragged_reference(model_, ragged, *vocab_,
+                                            features::CovariateConfig{});
+  const FullTraceReference corrected_reference(model_, corrected, *vocab_,
+                                               features::CovariateConfig{});
+  const auto tree = Make();
+  tree->set_decode_mode(core::DecodeMode::kTree);
+  const auto independent = Make();
+  independent->set_decode_mode(core::DecodeMode::kIndependent);
+  constexpr int kHorizon = 3;
+  for (int origin = 2; origin <= ragged.num_laps(); ++origin) {
+    const auto base = static_cast<std::uint64_t>(500 + origin);
+    for (const auto* log : {&ragged, &corrected}) {
+      const auto& reference =
+          log == &ragged ? ragged_reference : corrected_reference;
+      const auto cars = oracle.forecast_cars(*log, origin);
+      ASSERT_FALSE(cars.empty());
+      const auto want =
+          reference.decode(origin, kHorizon, kSamples, base, cars);
+      for (const auto mode :
+           {core::DecodeMode::kIndependent, core::DecodeMode::kTree}) {
+        oracle.set_decode_mode(mode);
+        EXPECT_TRUE(SamplesIdentical(
+            oracle.forecast_partition(*log, origin, kHorizon, kSamples, base,
+                                      cars),
+            want))
+            << "oracle origin " << origin << " tree "
+            << (mode == core::DecodeMode::kTree) << " corrected "
+            << (log == &corrected);
+      }
+      const auto pit_cars = tree->forecast_cars(*log, origin);
+      const auto got = tree->forecast_partition(*log, origin, kHorizon,
+                                                kSamples, base, pit_cars);
+      EXPECT_FALSE(got.empty());
+      EXPECT_TRUE(SamplesIdentical(
+          got, independent->forecast_partition(*log, origin, kHorizon,
+                                               kSamples, base, pit_cars)))
+          << "pit model origin " << origin << " corrected "
+          << (log == &corrected);
+    }
+  }
+}
+
+TEST_F(ForecastContext, JointAndDeepArMatchAcrossEngineThreads) {
+  // Joint's multivariate z replays its aux dims from the covariate rows;
+  // DeepAR has no covariates. At every origin of the ragged race, the
+  // forecast is the same from one whole-field partition inline and from
+  // 3-car partitions on two threads, and equals the full-trace reference.
+  const auto ragged = RaggedPrefix(*race_);
+  features::CovariateConfig joint;
+  joint.age_features = false;
+  joint.context_features = false;
+  joint.shift_features = false;
+  features::CovariateConfig deepar = joint;
+  deepar.race_status = false;
+  for (const bool is_joint : {true, false}) {
+    core::SeqModelConfig cfg = model_->config();
+    cfg.cov_dim = 0;
+    cfg.target_dim = is_joint ? 3 : 1;
+    auto model = std::make_shared<core::LstmSeqModel>(cfg);
+    model->set_scaler(features::StandardScaler(17.0, 9.0));
+    const auto config = is_joint ? joint : deepar;
+    core::RankNetForecaster f(
+        model, nullptr, *vocab_, config,
+        is_joint ? core::StatusSource::kJoint : core::StatusSource::kOracle,
+        is_joint ? "joint" : "deepar");
+    const FullTraceReference reference(model, ragged, *vocab_, config);
+    core::ParallelForecastEngine inline_engine(f, 0, 64);
+    core::ParallelForecastEngine pooled(f, 2, 3);
+    for (int origin = 2; origin <= ragged.num_laps(); ++origin) {
+      const auto base = static_cast<std::uint64_t>(700 + origin);
+      const auto a =
+          inline_engine.forecast_with_base(ragged, origin, 2, kSamples, base);
+      const auto b = pooled.forecast_with_base(ragged, origin, 2, kSamples,
+                                               base);
+      EXPECT_FALSE(a.empty());
+      EXPECT_TRUE(SamplesIdentical(a, b))
+          << (is_joint ? "joint" : "deepar") << " origin " << origin;
+      EXPECT_TRUE(SamplesIdentical(
+          a, reference.decode(origin, 2, kSamples, base,
+                              f.forecast_cars(ragged, origin))))
+          << (is_joint ? "joint" : "deepar") << " origin " << origin;
+    }
+  }
 }
 
 }  // namespace
