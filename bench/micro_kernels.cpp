@@ -236,14 +236,14 @@ void BM_SamplingRollout(benchmark::State& state, tk::Variant variant) {
   model.set_scaler(features::StandardScaler(17.0, 9.0));
   util::Rng rng(5);
   core::LstmSeqModel::StackState start(2, nn::LstmState(rows, 40));
-  const std::vector<std::vector<double>> z(rows, {10.0});
-  const std::vector<std::vector<std::vector<double>>> covs(
-      rows, std::vector<std::vector<double>>(2, std::vector<double>(9, 0.0)));
+  const std::vector<double> z(rows, 10.0);
+  const std::vector<double> cov_rows(2 * 9, 0.0);
+  const std::vector<std::span<const double>> covs(rows, cov_rows);
   const std::vector<int> idx(rows, 0);
   StepAccounting acct;
   for (auto _ : state) {
     auto s = start;
-    auto out = model.sample_forward(s, z, covs, idx, 2, rng);
+    auto out = model.sample_forward(s, {covs, 9, z, idx}, 2, rng);
     benchmark::DoNotOptimize(out.data());
   }
   acct.finish(state);

@@ -49,24 +49,19 @@ std::vector<double> rollout_with_plan(
       static_cast<std::size_t>(samples),
       std::span<const double>(trace).subspan((o - 2) * step, step));
   auto state = model.state_from_trace(start);
-  std::vector<std::vector<double>> z(static_cast<std::size_t>(samples),
-                                     {car.rank[o - 1]});
-  std::vector<std::vector<std::vector<double>>> future(
-      static_cast<std::size_t>(samples));
-  for (auto& rows : future) {
-    rows.resize(static_cast<std::size_t>(horizon));
-    for (int h = 0; h < horizon; ++h) {
-      const std::size_t idx = o + static_cast<std::size_t>(h);
-      rows[static_cast<std::size_t>(h)] =
-          idx < covs.size() ? covs[idx]
-                            : std::vector<double>(
-                                  bundle.wcfg.covariates.dim(), 0.0);
-    }
+  // Every sample reads the planned rows from lap o + 1 on, in place; the
+  // decode reads zeros past the end of the log.
+  std::vector<double> future;
+  for (std::size_t t = o; t < covs.size(); ++t) {
+    future.insert(future.end(), covs[t].begin(), covs[t].end());
   }
-  const std::vector<int> car_idx(static_cast<std::size_t>(samples),
-                                 bundle.vocab.index(car_id));
-  const auto out =
-      model.sample_forward(state, z, future, car_idx, horizon, rng);
+  const auto n = static_cast<std::size_t>(samples);
+  const std::vector<std::span<const double>> future_rows(n, future);
+  const std::vector<double> z(n, car.rank[o - 1]);
+  const std::vector<int> car_idx(n, bundle.vocab.index(car_id));
+  const auto out = model.sample_forward(
+      state, {future_rows, bundle.wcfg.covariates.dim(), z, car_idx}, horizon,
+      rng);
   std::vector<double> final_ranks;
   for (std::size_t s = 0; s < out.rows(); ++s) {
     final_ranks.push_back(out(s, out.cols() - 1));

@@ -15,26 +15,6 @@ namespace {
 constexpr double kMinRankFeedback = 1.0;
 constexpr double kMaxRankFeedback = 45.0;
 
-/// One inference session per LSTM layer, all scratch from `ws`.
-std::vector<nn::LstmInferenceSession> make_stack_sessions(
-    const std::vector<std::unique_ptr<nn::LstmLayer>>& layers,
-    std::size_t rows, tensor::Workspace& ws) {
-  std::vector<nn::LstmInferenceSession> out;
-  out.reserve(layers.size());
-  for (const auto& layer : layers) out.emplace_back(*layer, rows, ws);
-  return out;
-}
-
-/// Advance the whole stack one decode step; layer l > 0 consumes layer
-/// l-1's fresh hidden state.
-void run_stack_step(std::vector<nn::LstmInferenceSession>& stack) {
-  stack[0].step();
-  for (std::size_t l = 1; l < stack.size(); ++l) {
-    stack[l].set_input(stack[l - 1].h());
-    stack[l].step();
-  }
-}
-
 }  // namespace
 
 std::string SeqModelConfig::cache_key() const {
@@ -236,75 +216,92 @@ double LstmSeqModel::evaluate(const Batch& batch) {
   return nn::GaussianHead::nll(out, batch.z_dec, batch.weights);
 }
 
-void LstmSeqModel::run_trace(
-    std::span<const std::vector<double>> history,
-    std::span<const std::vector<std::vector<double>>> covs,
-    std::span<const int> car_index,
-    const std::function<void(std::span<const nn::LstmInferenceSession>)>&
-        store) const {
-  const std::size_t rows = history.size();
-  if (rows == 0) return;
-  const std::size_t laps = history[0].size();
-  for (const auto& h : history) {
-    if (h.size() != laps) {
-      throw std::invalid_argument("trace: ragged history");
-    }
-  }
-  if (laps < 2) return;
+struct LstmSeqModel::Stack {
+  std::vector<nn::LstmInferenceSession> layers;
+  tensor::MatrixView embed;  // rows x embed_dim
+};
 
-  auto& ws = tensor::Workspace::thread_local_instance();
-  ws.begin();
-  auto stack = make_stack_sessions(layers_, rows, ws);
-  tensor::MatrixView embed;
+LstmSeqModel::Stack LstmSeqModel::make_stack(std::span<const int> car_index,
+                                             tensor::Workspace& ws) const {
+  Stack stack;
+  stack.layers.reserve(layers_.size());
+  for (const auto& layer : layers_) {
+    stack.layers.emplace_back(*layer, car_index.size(), ws);
+  }
   if (config_.embed_dim > 0) {
-    embed = ws.take_zeroed(rows, config_.embed_dim);
+    stack.embed = ws.take_zeroed(car_index.size(), config_.embed_dim);
     if (embedding_ != nullptr) {
-      nn::EmbeddingInferenceSession(*embedding_).gather(car_index, embed);
+      nn::EmbeddingInferenceSession(*embedding_).gather(car_index,
+                                                        stack.embed);
     }
   }
+  return stack;
+}
 
+void LstmSeqModel::step(Stack& stack, const double* z, const SeqInputs& in,
+                        std::size_t k) const {
   const std::size_t td = config_.target_dim;
-  for (std::size_t t = 0; t + 1 < laps; ++t) {
-    for (std::size_t r = 0; r < rows; ++r) {
-      // Multivariate targets carry their aux dims in leading covariates
-      // (same convention as make_batch); univariate is just the rank.
-      auto row = stack[0].x_row(r);
-      row[0] = scaler_.transform(history[r][t]);
-      for (std::size_t j = 1; j < td; ++j) {
-        // Zero-fill short rows, same as the covariate packing below — a
-        // multivariate model over a thin covariate config must not read
-        // past the row.
-        row[j] = j - 1 < covs[r][t].size() ? covs[r][t][j - 1] : 0.0;
-      }
-      const auto& cov = covs[r][t + 1];
-      for (std::size_t c = 0; c < config_.cov_dim; ++c) {
-        row[td + c] = c < cov.size() ? cov[c] : 0.0;
-      }
-      for (std::size_t c = 0; c < config_.embed_dim; ++c) {
-        row[td + config_.cov_dim + c] = embed(r, c);
-      }
+  const std::size_t cd = config_.cov_dim;
+  const std::size_t width = std::min(cd, in.cov_width);
+  auto& first = stack.layers[0];
+  for (std::size_t r = 0; r < first.batch(); ++r) {
+    double* x = first.x_row(r).data();
+    const double* zr = z + r * td;
+    x[0] = scaler_.transform(zr[0]);
+    std::copy(zr + 1, zr + td, x + 1);
+    double* cov = x + td;
+    if ((k + 1) * in.cov_width <= in.covs[r].size()) {
+      cov = std::copy_n(in.covs[r].data() + k * in.cov_width, width, cov);
     }
-    run_stack_step(stack);
-    store(stack);
+    std::fill(cov, x + td + cd, 0.0);
+    if (config_.embed_dim > 0) {
+      const auto embed = stack.embed.row(r);
+      std::copy(embed.begin(), embed.end(), x + td + cd);
+    }
+  }
+  // Layer l > 0 consumes layer l-1's fresh hidden state.
+  first.step();
+  for (std::size_t l = 1; l < stack.layers.size(); ++l) {
+    stack.layers[l].set_input(stack.layers[l - 1].h());
+    stack.layers[l].step();
   }
 }
 
-std::vector<LstmSeqModel::StackState> LstmSeqModel::trace(
-    const std::vector<std::vector<double>>& history,
-    const std::vector<std::vector<std::vector<double>>>& covs,
-    const std::vector<int>& car_index) const {
-  std::vector<StackState> out;
-  if (!history.empty() && history[0].size() > 1) {
-    out.reserve(history[0].size() - 1);
+void LstmSeqModel::feed_back(tensor::ConstMatrixView sample, std::size_t h,
+                             tensor::MatrixView z, tensor::Matrix& out) const {
+  for (std::size_t r = 0; r < sample.rows(); ++r) {
+    const double rank = std::clamp(scaler_.inverse(sample(r, 0)),
+                                   kMinRankFeedback, kMaxRankFeedback);
+    out(r, h) = rank;
+    z(r, 0) = rank;
+    for (std::size_t j = 1; j < config_.target_dim; ++j) {
+      z(r, j) = sample(r, j);
+    }
   }
-  run_trace(history, covs, car_index,
-            [&](std::span<const nn::LstmInferenceSession> stack) {
-              StackState& cur = out.emplace_back(stack.size());
-              for (std::size_t l = 0; l < stack.size(); ++l) {
-                stack[l].store_state(cur[l]);
-              }
-            });
-  return out;
+}
+
+void LstmSeqModel::decode_steps(Stack& stack, const SeqInputs& in,
+                                tensor::MatrixView z, int first, int horizon,
+                                util::Rng* rng, std::span<util::Rng> row_rngs,
+                                tensor::Matrix& out,
+                                tensor::Workspace& ws) const {
+  const std::size_t rows = z.rows();
+  const std::size_t td = config_.target_dim;
+  nn::GaussianInferenceSession head(*head_);
+  tensor::MatrixView mu = ws.take(rows, td);
+  tensor::MatrixView sigma = ws.take(rows, td);
+  tensor::MatrixView sample = ws.take(rows, td);
+  for (int h = first; h < horizon; ++h) {
+    const auto k = static_cast<std::size_t>(h);
+    step(stack, z.data(), in, k);
+    head.forward(stack.layers.back().h(), mu, sigma);
+    if (rng != nullptr) {
+      nn::GaussianInferenceSession::sample(mu, sigma, *rng, sample);
+    } else {
+      nn::GaussianInferenceSession::sample(mu, sigma, row_rngs, sample);
+    }
+    feed_back(sample, k, z, out);
+  }
 }
 
 std::vector<double> LstmSeqModel::trace_flat(
@@ -319,24 +316,54 @@ std::vector<std::vector<double>> LstmSeqModel::trace_checkpoints(
     std::span<const std::vector<std::vector<double>>> covs,
     std::span<const int> car_index, std::size_t every) const {
   if (every == 0) throw std::invalid_argument("trace_checkpoints: every == 0");
-  const std::size_t step_size = trace_step_size();
-  std::vector<std::vector<double>> out(history.size());
-  if (!history.empty() && history[0].size() > 1) {
-    const std::size_t kept = (history[0].size() - 2) / every + 1;
-    for (auto& buffer : out) buffer.reserve(kept * step_size);
+  const std::size_t rows = history.size();
+  std::vector<std::vector<double>> out(rows);
+  if (rows == 0) return out;
+  const std::size_t laps = history[0].size();
+  for (const auto& h : history) {
+    if (h.size() != laps) {
+      throw std::invalid_argument("trace: ragged history");
+    }
   }
-  std::size_t t = 0;
-  run_trace(history, covs, car_index,
-            [&](std::span<const nn::LstmInferenceSession> stack) {
-              if (t++ % every != 0) return;
-              for (std::size_t r = 0; r < out.size(); ++r) {
-                for (const auto& layer : stack) {
-                  const auto h = layer.h().row(r), c = layer.c().row(r);
-                  out[r].insert(out[r].end(), h.begin(), h.end());
-                  out[r].insert(out[r].end(), c.begin(), c.end());
-                }
-              }
-            });
+  if (laps < 2) return out;
+  const std::size_t kept = (laps - 2) / every + 1;
+  for (auto& buffer : out) buffer.reserve(kept * trace_step_size());
+
+  auto& ws = tensor::Workspace::thread_local_instance();
+  ws.begin();
+  auto stack = make_stack(car_index, ws);
+  const std::size_t td = config_.target_dim;
+  tensor::MatrixView z = ws.take(rows, td);
+  // Step t reads lap t + 1's covariate row; a row narrower than cov_dim
+  // is zero-filled.
+  std::vector<std::span<const double>> cov_rows(rows);
+  const SeqInputs in{cov_rows, covs[0][1].size(), {}, car_index};
+  for (std::size_t t = 0; t + 1 < laps; ++t) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      // Multivariate targets carry their aux dims in the leading
+      // covariates of the same lap (as make_batch does), zero-filled past
+      // the row: a multivariate model over a thin covariate config must
+      // not read past it.
+      const auto& aux = covs[r][t];
+      z(r, 0) = history[r][t];
+      for (std::size_t j = 1; j < td; ++j) {
+        z(r, j) = j - 1 < aux.size() ? aux[j - 1] : 0.0;
+      }
+      cov_rows[r] = covs[r][t + 1];
+      if (cov_rows[r].size() != in.cov_width) {
+        throw std::invalid_argument("trace: covariate rows of unequal width");
+      }
+    }
+    step(stack, z.data(), in, 0);
+    if (t % every != 0) continue;
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (const auto& layer : stack.layers) {
+        const auto h = layer.h().row(r), c = layer.c().row(r);
+        out[r].insert(out[r].end(), h.begin(), h.end());
+        out[r].insert(out[r].end(), c.begin(), c.end());
+      }
+    }
+  }
   return out;
 }
 
@@ -375,125 +402,75 @@ void LstmSeqModel::trace_from_state(const StackState& state,
   }
 }
 
-void LstmSeqModel::advance(StackState& state,
-                           const std::vector<std::vector<double>>& z_prev,
-                           const std::vector<std::vector<double>>& covs,
-                           const std::vector<int>& car_index) const {
-  const std::size_t rows = z_prev.size();
+namespace {
+
+/// Throws unless `in` holds one covariate span per row and `z_blocks`
+/// blocks of rows x target_dim values.
+void check_inputs(const LstmSeqModel::SeqInputs& in, std::size_t target_dim,
+                  std::size_t z_blocks, const char* what) {
+  const std::size_t rows = in.car_index.size();
+  if (in.covs.size() != rows || in.z.size() != z_blocks * rows * target_dim) {
+    throw std::invalid_argument(std::string(what) +
+                                ": inputs do not match the row count");
+  }
+}
+
+}  // namespace
+
+void LstmSeqModel::advance(StackState& state, const SeqInputs& in,
+                           std::size_t steps) const {
+  const std::size_t td = config_.target_dim;
+  check_inputs(in, td, steps, "advance");
+  if (steps == 0) return;
+  const std::size_t rows = in.car_index.size();
   auto& ws = tensor::Workspace::thread_local_instance();
   ws.begin();
-  auto stack = make_stack_sessions(layers_, rows, ws);
-  tensor::MatrixView embed;
-  if (config_.embed_dim > 0) {
-    embed = ws.take_zeroed(rows, config_.embed_dim);
-    if (embedding_ != nullptr) {
-      nn::EmbeddingInferenceSession(*embedding_).gather(car_index, embed);
-    }
+  auto stack = make_stack(in.car_index, ws);
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    stack.layers[l].load_state(state[l]);
   }
-  const std::size_t td = config_.target_dim;
-  for (std::size_t l = 0; l < stack.size(); ++l) stack[l].load_state(state[l]);
-  for (std::size_t r = 0; r < rows; ++r) {
-    auto row = stack[0].x_row(r);
-    row[0] = scaler_.transform(z_prev[r][0]);
-    for (std::size_t j = 1; j < td; ++j) row[j] = z_prev[r][j];
-    const auto& cov = covs[r];
-    for (std::size_t c = 0; c < config_.cov_dim; ++c) {
-      row[td + c] = c < cov.size() ? cov[c] : 0.0;
-    }
-    for (std::size_t c = 0; c < config_.embed_dim; ++c) {
-      row[td + config_.cov_dim + c] = embed(r, c);
-    }
+  for (std::size_t t = 0; t < steps; ++t) {
+    step(stack, in.z.data() + t * rows * td, in, t);
   }
-  run_stack_step(stack);
-  for (std::size_t l = 0; l < stack.size(); ++l) stack[l].store_state(state[l]);
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    stack.layers[l].store_state(state[l]);
+  }
 }
 
 tensor::Matrix LstmSeqModel::sample_forward_impl(
-    StackState& state, std::vector<std::vector<double>>& z_prev,
-    const std::vector<std::vector<std::vector<double>>>& future_covs,
-    const std::vector<int>& car_index, int horizon, util::Rng* rng,
-    std::span<util::Rng> row_rngs,
-    std::vector<tensor::Matrix>* all_dims) const {
-  const std::size_t rows = z_prev.size();
-  const std::size_t td = config_.target_dim;
-
+    StackState& state, const SeqInputs& in, int horizon, util::Rng* rng,
+    std::span<util::Rng> row_rngs) const {
+  check_inputs(in, config_.target_dim, 1, "sample_forward");
   // The decode loop is the serving hot path: all per-step storage comes
   // from the thread-local workspace, so after the first call on a thread
   // (and absent batch-shape growth) steps perform zero heap allocations.
-  // The `rows` MC samples advance lockstep through each timestep as one
+  // The rows advance lockstep through each timestep as one
   // [rows x hidden] batch, so every LSTM/dense/head call below lands in
   // the dispatched microkernels (tensor::kernels) at full batch width —
   // and because those kernels are row-independent, the sampled bits are
   // invariant to how rows are batched or partitioned across engine tasks.
   auto& ws = tensor::Workspace::thread_local_instance();
   ws.begin();
-  auto stack = make_stack_sessions(layers_, rows, ws);
-  tensor::MatrixView embed;
-  if (config_.embed_dim > 0) {
-    embed = ws.take_zeroed(rows, config_.embed_dim);
-    if (embedding_ != nullptr) {
-      nn::EmbeddingInferenceSession(*embedding_).gather(car_index, embed);
-    }
+  auto stack = make_stack(in.car_index, ws);
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    stack.layers[l].load_state(state[l]);
   }
-  nn::GaussianInferenceSession head(*head_);
-  tensor::MatrixView mu = ws.take(rows, td);
-  tensor::MatrixView sigma = ws.take(rows, td);
-  tensor::MatrixView sample = ws.take(rows, td);
-
-  for (std::size_t l = 0; l < stack.size(); ++l) stack[l].load_state(state[l]);
-
-  tensor::Matrix out(rows, static_cast<std::size_t>(horizon));
-  if (all_dims != nullptr) all_dims->clear();
-
-  for (int h = 0; h < horizon; ++h) {
-    for (std::size_t r = 0; r < rows; ++r) {
-      auto row = stack[0].x_row(r);
-      row[0] = scaler_.transform(z_prev[r][0]);
-      for (std::size_t j = 1; j < td; ++j) row[j] = z_prev[r][j];
-      const auto& cov = future_covs[r][static_cast<std::size_t>(h)];
-      for (std::size_t c = 0; c < config_.cov_dim; ++c) {
-        row[td + c] = c < cov.size() ? cov[c] : 0.0;
-      }
-      for (std::size_t c = 0; c < config_.embed_dim; ++c) {
-        row[td + config_.cov_dim + c] = embed(r, c);
-      }
-    }
-    run_stack_step(stack);
-    head.forward(stack.back().h(), mu, sigma);
-    if (rng != nullptr) {
-      nn::GaussianInferenceSession::sample(mu, sigma, *rng, sample);
-    } else {
-      nn::GaussianInferenceSession::sample(mu, sigma, row_rngs, sample);
-    }
-    tensor::Matrix raw;
-    if (all_dims != nullptr) raw = tensor::Matrix(rows, td);
-    for (std::size_t r = 0; r < rows; ++r) {
-      const double rank = std::clamp(scaler_.inverse(sample(r, 0)),
-                                     kMinRankFeedback, kMaxRankFeedback);
-      out(r, static_cast<std::size_t>(h)) = rank;
-      z_prev[r][0] = rank;
-      if (all_dims != nullptr) raw(r, 0) = rank;
-      for (std::size_t j = 1; j < td; ++j) {
-        z_prev[r][j] = sample(r, j);
-        if (all_dims != nullptr) raw(r, j) = sample(r, j);
-      }
-    }
-    if (all_dims != nullptr) all_dims->push_back(std::move(raw));
-  }
-  for (std::size_t l = 0; l < stack.size(); ++l) {
-    stack[l].store_state(state[l]);
+  tensor::MatrixView z = ws.take(in.car_index.size(), config_.target_dim);
+  std::copy(in.z.begin(), in.z.end(), z.data());
+  tensor::Matrix out(z.rows(), static_cast<std::size_t>(horizon));
+  decode_steps(stack, in, z, 0, horizon, rng, row_rngs, out, ws);
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    stack.layers[l].store_state(state[l]);
   }
   return out;
 }
 
 tensor::Matrix LstmSeqModel::sample_forward_tree(
     StackState& branch_state, std::span<const std::size_t> branch_of_row,
-    std::vector<std::vector<double>> z_prev,
-    const std::vector<std::vector<std::vector<double>>>& future_covs,
-    const std::vector<int>& car_index, int horizon,
-    std::span<util::Rng> row_rngs) const {
-  const std::size_t rows = z_prev.size();
+    const SeqInputs& in, int horizon, std::span<util::Rng> row_rngs) const {
+  const std::size_t rows = in.car_index.size();
   const std::size_t td = config_.target_dim;
+  check_inputs(in, td, 1, "sample_forward_tree");
   if (branch_of_row.size() != rows || row_rngs.size() != rows) {
     throw std::invalid_argument(
         "sample_forward_tree: one branch id and one rng stream per row");
@@ -503,8 +480,8 @@ tensor::Matrix LstmSeqModel::sample_forward_tree(
   }
   const std::size_t branches = branch_state[0].h.rows();
 
-  // Branch b's step-1 inputs come from its first member row; the caller
-  // guarantees all members carry byte-identical copies.
+  // Branch b's step-1 inputs are those of its first member row; the caller
+  // guarantees all members carry byte-identical ones.
   std::vector<std::size_t> rep(branches, rows);
   for (std::size_t r = 0; r < rows; ++r) {
     const std::size_t b = branch_of_row[r];
@@ -514,12 +491,17 @@ tensor::Matrix LstmSeqModel::sample_forward_tree(
     }
     if (rep[b] == rows) rep[b] = r;
   }
+  std::vector<std::span<const double>> branch_covs(branches);
+  std::vector<int> branch_car(branches);
   for (std::size_t b = 0; b < branches; ++b) {
     if (rep[b] == rows) {
       throw std::invalid_argument(
           "sample_forward_tree: branch with no member rows");
     }
+    branch_covs[b] = in.covs[rep[b]];
+    branch_car[b] = in.car_index[rep[b]];
   }
+  const SeqInputs branch_in{branch_covs, in.cov_width, {}, branch_car};
 
   // One workspace epoch holds BOTH session sets: the branch-width stack
   // runs the shared step, the full-width stack the divergent suffix. Views
@@ -527,119 +509,55 @@ tensor::Matrix LstmSeqModel::sample_forward_tree(
   // between), per the workspace lifetime rules.
   auto& ws = tensor::Workspace::thread_local_instance();
   ws.begin();
-  auto bstack = make_stack_sessions(layers_, branches, ws);
-  tensor::MatrixView bembed;
-  std::vector<int> branch_car(branches);
-  for (std::size_t b = 0; b < branches; ++b) branch_car[b] = car_index[rep[b]];
-  if (config_.embed_dim > 0) {
-    bembed = ws.take_zeroed(branches, config_.embed_dim);
-    if (embedding_ != nullptr) {
-      nn::EmbeddingInferenceSession(*embedding_).gather(branch_car, bembed);
-    }
+  auto bstack = make_stack(branch_car, ws);
+  tensor::MatrixView bz = ws.take(branches, td);
+  for (std::size_t b = 0; b < branches; ++b) {
+    std::copy_n(in.z.data() + rep[b] * td, td, bz.row(b).data());
   }
+
+  // ---- shared prefix: decode step 1 at branch width -------------------
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    bstack.layers[l].load_state(branch_state[l]);
+  }
+  step(bstack, bz.data(), branch_in, 0);
   nn::GaussianInferenceSession head(*head_);
   tensor::MatrixView bmu = ws.take(branches, td);
   tensor::MatrixView bsigma = ws.take(branches, td);
-
-  // ---- shared prefix: decode step 1 at branch width -------------------
-  for (std::size_t l = 0; l < bstack.size(); ++l) {
-    bstack[l].load_state(branch_state[l]);
-  }
-  for (std::size_t b = 0; b < branches; ++b) {
-    const std::size_t r = rep[b];
-    auto row = bstack[0].x_row(b);
-    row[0] = scaler_.transform(z_prev[r][0]);
-    for (std::size_t j = 1; j < td; ++j) row[j] = z_prev[r][j];
-    const auto& cov = future_covs[r][0];
-    for (std::size_t c = 0; c < config_.cov_dim; ++c) {
-      row[td + c] = c < cov.size() ? cov[c] : 0.0;
-    }
-    for (std::size_t c = 0; c < config_.embed_dim; ++c) {
-      row[td + config_.cov_dim + c] = bembed(b, c);
-    }
-  }
-  run_stack_step(bstack);
-  head.forward(bstack.back().h(), bmu, bsigma);
+  head.forward(bstack.layers.back().h(), bmu, bsigma);
 
   // ---- fork: expand branches to member rows ---------------------------
-  auto stack = make_stack_sessions(layers_, rows, ws);
-  tensor::MatrixView embed;
-  if (config_.embed_dim > 0) {
-    embed = ws.take_zeroed(rows, config_.embed_dim);
-    if (embedding_ != nullptr) {
-      nn::EmbeddingInferenceSession(*embedding_).gather(car_index, embed);
-    }
+  auto stack = make_stack(in.car_index, ws);
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    stack.layers[l].load_state_rows(bstack.layers[l], branch_of_row);
   }
-  tensor::MatrixView mu = ws.take(rows, td);
-  tensor::MatrixView sigma = ws.take(rows, td);
+  tensor::MatrixView z = ws.take(rows, td);
   tensor::MatrixView sample = ws.take(rows, td);
-  for (std::size_t l = 0; l < stack.size(); ++l) {
-    stack[l].load_state_rows(bstack[l], branch_of_row);
-  }
-
   tensor::Matrix out(rows, static_cast<std::size_t>(horizon));
   // Step-1 sampling: row r draws from its own stream against its branch's
   // (mu, sigma) — the same values independent decode would have computed
   // for that row, so the drawn bits coincide.
   nn::GaussianInferenceSession::sample_rows(bmu, bsigma, branch_of_row,
                                             row_rngs, sample);
-  for (std::size_t r = 0; r < rows; ++r) {
-    const double rank = std::clamp(scaler_.inverse(sample(r, 0)),
-                                   kMinRankFeedback, kMaxRankFeedback);
-    out(r, 0) = rank;
-    z_prev[r][0] = rank;
-    for (std::size_t j = 1; j < td; ++j) z_prev[r][j] = sample(r, j);
-  }
+  feed_back(sample, 0, z, out);
 
   // ---- divergent suffix: steps 2..horizon at full width ---------------
-  // Identical, statement for statement, to the sample_forward_impl loop.
-  for (int h = 1; h < horizon; ++h) {
-    for (std::size_t r = 0; r < rows; ++r) {
-      auto row = stack[0].x_row(r);
-      row[0] = scaler_.transform(z_prev[r][0]);
-      for (std::size_t j = 1; j < td; ++j) row[j] = z_prev[r][j];
-      const auto& cov = future_covs[r][static_cast<std::size_t>(h)];
-      for (std::size_t c = 0; c < config_.cov_dim; ++c) {
-        row[td + c] = c < cov.size() ? cov[c] : 0.0;
-      }
-      for (std::size_t c = 0; c < config_.embed_dim; ++c) {
-        row[td + config_.cov_dim + c] = embed(r, c);
-      }
-    }
-    run_stack_step(stack);
-    head.forward(stack.back().h(), mu, sigma);
-    nn::GaussianInferenceSession::sample(mu, sigma, row_rngs, sample);
-    for (std::size_t r = 0; r < rows; ++r) {
-      const double rank = std::clamp(scaler_.inverse(sample(r, 0)),
-                                     kMinRankFeedback, kMaxRankFeedback);
-      out(r, static_cast<std::size_t>(h)) = rank;
-      z_prev[r][0] = rank;
-      for (std::size_t j = 1; j < td; ++j) z_prev[r][j] = sample(r, j);
-    }
-  }
+  decode_steps(stack, in, z, 1, horizon, nullptr, row_rngs, out, ws);
   return out;
 }
 
-tensor::Matrix LstmSeqModel::sample_forward(
-    StackState& state, std::vector<std::vector<double>> z_prev,
-    const std::vector<std::vector<std::vector<double>>>& future_covs,
-    const std::vector<int>& car_index, int horizon, util::Rng& rng,
-    std::vector<tensor::Matrix>* all_dims) const {
-  return sample_forward_impl(state, z_prev, future_covs, car_index, horizon,
-                             &rng, {}, all_dims);
+tensor::Matrix LstmSeqModel::sample_forward(StackState& state,
+                                            const SeqInputs& in, int horizon,
+                                            util::Rng& rng) const {
+  return sample_forward_impl(state, in, horizon, &rng, {});
 }
 
 tensor::Matrix LstmSeqModel::sample_forward(
-    StackState& state, std::vector<std::vector<double>> z_prev,
-    const std::vector<std::vector<std::vector<double>>>& future_covs,
-    const std::vector<int>& car_index, int horizon,
-    std::span<util::Rng> row_rngs,
-    std::vector<tensor::Matrix>* all_dims) const {
-  if (row_rngs.size() != z_prev.size()) {
+    StackState& state, const SeqInputs& in, int horizon,
+    std::span<util::Rng> row_rngs) const {
+  if (row_rngs.size() != in.car_index.size()) {
     throw std::invalid_argument("sample_forward: one rng stream per row");
   }
-  return sample_forward_impl(state, z_prev, future_covs, car_index, horizon,
-                             nullptr, row_rngs, all_dims);
+  return sample_forward_impl(state, in, horizon, nullptr, row_rngs);
 }
 
 }  // namespace ranknet::core

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -22,11 +21,12 @@
 #include "nn/embedding.hpp"
 #include "nn/gaussian.hpp"
 #include "nn/lstm.hpp"
+#include "tensor/view.hpp"
 #include "util/rng.hpp"
 
-namespace ranknet::nn {
-class LstmInferenceSession;
-}  // namespace ranknet::nn
+namespace ranknet::tensor {
+class Workspace;
+}  // namespace ranknet::tensor
 
 namespace ranknet::core {
 
@@ -94,22 +94,13 @@ class LstmSeqModel : public nn::Layer {
   /// LSTM states (one per layer) for a batch of sequences.
   using StackState = std::vector<nn::LstmState>;
 
-  /// Consume an observed prefix for `rows` parallel sequences and return
-  /// the state after each step. history[r] holds raw (unscaled) targets
-  /// z_1..z_T per row; covs[r][t] the covariate vector of lap t+1 (0-based).
-  /// Returned trace[t] is the state after consuming input
-  /// [z_t, x_{t+1}], i.e. the state from which lap t+2 would be predicted;
-  /// trace has T-1 entries.
-  std::vector<StackState> trace(
-      const std::vector<std::vector<double>>& history,
-      const std::vector<std::vector<std::vector<double>>>& covs,
-      const std::vector<int>& car_index) const;
-
-  /// trace() of one sequence in one flat buffer: step t (the state
-  /// trace()[t] holds) is the slice of trace_step_size() doubles at
+  /// Consume an observed prefix of one sequence: history holds its raw
+  /// (unscaled) targets z_1..z_T, covs[t] the covariate vector of lap t+1
+  /// (0-based). Step t of the result is the state after consuming input
+  /// [z_t, x_{t+1}], i.e. the state from which lap t+2 would be predicted
+  /// (T-1 steps). Each step is the slice of trace_step_size() doubles at
   /// t * trace_step_size(), laid out layer by layer, h then c, `hidden`
-  /// values each. Bit-identical to trace(); one heap block per sequence
-  /// instead of one StackState per lap.
+  /// values each.
   std::vector<double> trace_flat(
       const std::vector<double>& history,
       const std::vector<std::vector<double>>& covs, int car_index) const;
@@ -137,50 +128,56 @@ class LstmSeqModel : public nn::Layer {
   /// flat trace step at out[r * trace_step_size()]. Plain copies.
   void trace_from_state(const StackState& state, std::span<double> out) const;
 
-  /// One teacher-forced step: consume [z_prev, cov] for each row and update
-  /// `state` in place (no sampling). Used to re-run the last encoder laps
-  /// with corrected (predicted) shift features before sampling.
-  void advance(StackState& state,
-               const std::vector<std::vector<double>>& z_prev,
-               const std::vector<std::vector<double>>& covs,
-               const std::vector<int>& car_index) const;
+  /// The inputs of `rows` parallel sequences (one per car_index entry),
+  /// read in place. covs[r] holds row r's covariate rows back to back,
+  /// `cov_width` doubles each, one per step from the call's first step:
+  /// step k reads the row at covs[r][k * cov_width]. A step past the end of
+  /// covs[r] reads zeros, and so do the inputs past cov_width of a row
+  /// narrower than cov_dim. z holds raw target vectors (rank first),
+  /// target_dim per row, row-major.
+  struct SeqInputs {
+    std::span<const std::span<const double>> covs;
+    std::size_t cov_width = 0;
+    std::span<const double> z;
+    std::span<const int> car_index;
+  };
+
+  /// `steps` teacher-forced steps (no sampling), updating `state` in place:
+  /// step t consumes [z, covariate row t] for each row, with z the t-th
+  /// block of rows x target_dim values of in.z. Used to re-run encoder laps
+  /// with inputs the trace did not see: a checkpoint replay, or the last
+  /// laps with predicted shift features before sampling.
+  void advance(StackState& state, const SeqInputs& in, std::size_t steps) const;
 
   /// Roll the sampler forward `horizon` steps from `state` (modified in
-  /// place). z_prev[r] is the last observed raw target vector per row;
-  /// future_covs[r][h] the covariate vector for horizon step h. Returns
-  /// (rows x horizon) sampled raw target values (dim 0 = rank), plus all
-  /// target dims via `all_dims` when non-null.
+  /// place). in.z holds the last observed raw target vector per row; decode
+  /// step h reads covariate row h. Returns the (rows x horizon) sampled
+  /// ranks; the other target dims are fed back, not returned.
   ///
   /// All rows advance through the LSTM stack together: one decode step is
   /// one (rows x hidden) batch per layer, so all live cars' hidden states
   /// ride in a single GEMM instead of many per-car ones. Every row-level
   /// quantity (gates, head output, feedback) depends only on that row, so
   /// the batch may be any subset of cars/samples without changing results.
-  tensor::Matrix sample_forward(
-      StackState& state, std::vector<std::vector<double>> z_prev,
-      const std::vector<std::vector<std::vector<double>>>& future_covs,
-      const std::vector<int>& car_index, int horizon, util::Rng& rng,
-      std::vector<tensor::Matrix>* all_dims = nullptr) const;
+  tensor::Matrix sample_forward(StackState& state, const SeqInputs& in,
+                                int horizon, util::Rng& rng) const;
 
   /// Partition-invariant variant: row r draws its Gaussian noise from its
   /// own stream row_rngs[r] (derived via util::Rng::stream keyed by
   /// (car, sample)), so the sampled trajectory of a row is byte-identical
   /// no matter how rows are grouped into batches or threads.
-  tensor::Matrix sample_forward(
-      StackState& state, std::vector<std::vector<double>> z_prev,
-      const std::vector<std::vector<std::vector<double>>>& future_covs,
-      const std::vector<int>& car_index, int horizon,
-      std::span<util::Rng> row_rngs,
-      std::vector<tensor::Matrix>* all_dims = nullptr) const;
+  tensor::Matrix sample_forward(StackState& state, const SeqInputs& in,
+                                int horizon,
+                                std::span<util::Rng> row_rngs) const;
 
   /// Shared-prefix decode-tree variant (DESIGN.md "Decode tree & forecast
   /// cache"). Rows are partitioned into branches: every member of a branch
   /// must enter the decode with byte-identical state and byte-identical
-  /// step-1 inputs (z_prev, future_covs[r][0], car_index). The first decode
-  /// step then runs once per *branch* over `branch_state` (one state row
-  /// per branch), rows fork by drawing their step-1 noise from their own
-  /// row stream against the branch's (mu, sigma), and steps 2..horizon run
-  /// at full row width exactly like sample_forward. Because the dispatched
+  /// step-1 inputs (z, covariate row 0, car_index). The first decode step
+  /// then runs once per *branch* over `branch_state` (one state row per
+  /// branch), rows fork by drawing their step-1 noise from their own row
+  /// stream against the branch's (mu, sigma), and steps 2..horizon run at
+  /// full row width through sample_forward's loop. Because the dispatched
   /// kernels are row-independent and the forked state is a plain row copy,
   /// the result is bit-identical to independent decode of the same rows —
   /// tests/test_decode_tree.cpp proves this differentially.
@@ -190,34 +187,37 @@ class LstmSeqModel : public nn::Layer {
   /// read from its first member row.
   tensor::Matrix sample_forward_tree(
       StackState& branch_state, std::span<const std::size_t> branch_of_row,
-      std::vector<std::vector<double>> z_prev,
-      const std::vector<std::vector<std::vector<double>>>& future_covs,
-      const std::vector<int>& car_index, int horizon,
-      std::span<util::Rng> row_rngs) const;
+      const SeqInputs& in, int horizon, std::span<util::Rng> row_rngs) const;
 
   std::vector<nn::Parameter*> params() override;
 
  private:
-  /// The encoder loop behind trace() and trace_checkpoints(): after each
-  /// step it hands the per-layer sessions, holding the new state, to
-  /// `store`.
-  void run_trace(
-      std::span<const std::vector<double>> history,
-      std::span<const std::vector<std::vector<double>>> covs,
-      std::span<const int> car_index,
-      const std::function<void(std::span<const nn::LstmInferenceSession>)>&
-          store) const;
+  /// One call's LSTM sessions, all at one row width, and the embedding
+  /// rows of its cars; storage from the thread's workspace (ar_model.cpp).
+  struct Stack;
+  Stack make_stack(std::span<const int> car_index,
+                   tensor::Workspace& ws) const;
+  /// Stage input row r = [z row r, covariate row k of in.covs[r],
+  /// embedding] for every row of the stack, then run it one step.
+  void step(Stack& stack, const double* z, const SeqInputs& in,
+            std::size_t k) const;
+  /// Decode steps [first, horizon) at the stack's width: each samples,
+  /// writes its clamped rank to out column h and feeds the draw back as z.
+  void decode_steps(Stack& stack, const SeqInputs& in, tensor::MatrixView z,
+                    int first, int horizon, util::Rng* rng,
+                    std::span<util::Rng> row_rngs, tensor::Matrix& out,
+                    tensor::Workspace& ws) const;
+  /// Decode step h's draw: each row's clamped rank to out column h, and
+  /// the draw back into z as the next step's input.
+  void feed_back(tensor::ConstMatrixView sample, std::size_t h,
+                 tensor::MatrixView z, tensor::Matrix& out) const;
 
-  /// Shared decode loop over the zero-allocation inference runtime. Exactly
-  /// one of (rng, row_rngs) supplies the Gaussian noise: rng != nullptr
-  /// draws row-major from the single stream, otherwise row r draws from
-  /// row_rngs[r].
+  /// Shared body of both sample_forward overloads. Exactly one of (rng,
+  /// row_rngs) supplies the Gaussian noise: rng != nullptr draws row-major
+  /// from the single stream, otherwise row r draws from row_rngs[r].
   tensor::Matrix sample_forward_impl(
-      StackState& state, std::vector<std::vector<double>>& z_prev,
-      const std::vector<std::vector<std::vector<double>>>& future_covs,
-      const std::vector<int>& car_index, int horizon, util::Rng* rng,
-      std::span<util::Rng> row_rngs,
-      std::vector<tensor::Matrix>* all_dims) const;
+      StackState& state, const SeqInputs& in, int horizon, util::Rng* rng,
+      std::span<util::Rng> row_rngs) const;
 
   SeqModelConfig config_;
   features::StandardScaler scaler_{0.0, 1.0};

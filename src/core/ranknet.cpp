@@ -1,11 +1,9 @@
 #include "core/ranknet.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <span>
 #include <stdexcept>
-#include <string_view>
 
 #include "core/status_forecast.hpp"
 #include "obs/metrics.hpp"
@@ -20,17 +18,6 @@ const char* status_source_name(StatusSource s) {
     case StatusSource::kJoint: return "Joint";
   }
   return "?";
-}
-
-DecodeMode default_decode_mode() {
-  static const DecodeMode mode = [] {
-    const char* env = std::getenv("RANKNET_DECODE");
-    if (env != nullptr && std::string_view(env) == "independent") {
-      return DecodeMode::kIndependent;
-    }
-    return DecodeMode::kTree;
-  }();
-  return mode;
 }
 
 RankNetForecaster::RankNetForecaster(
@@ -170,7 +157,6 @@ const RankNetForecaster::RaceCache& RankNetForecaster::race_cache(
     CarCache cc;
     cc.history = car.rank;
     cc.streams = features::StatusStreams::from_race(race, car_id);
-    cc.covariates = features::build_covariates(cc.streams, cov_config_);
     by_laps[car.laps()].push_back(car_id);
     rc.cars.emplace(car_id, std::move(cc));
   }
@@ -181,9 +167,9 @@ const RankNetForecaster::RaceCache& RankNetForecaster::race_cache(
     std::vector<std::vector<std::vector<double>>> covs;
     std::vector<int> index;
     for (int car_id : ids) {
-      auto& cc = rc.cars.at(car_id);
+      const auto& cc = rc.cars.at(car_id);
       history.push_back(cc.history);
-      covs.push_back(std::move(cc.covariates));
+      covs.push_back(features::build_covariates(cc.streams, cov_config_));
       index.push_back(vocab_.index(car_id));
     }
     auto traces =
@@ -191,8 +177,9 @@ const RankNetForecaster::RaceCache& RankNetForecaster::race_cache(
     for (std::size_t i = 0; i < ids.size(); ++i) {
       auto& cc = rc.cars.at(ids[i]);
       cc.trace = std::move(traces[i]);
-      if (source_ != StatusSource::kPitModel) {
-        cc.covariates = std::move(covs[i]);
+      if (source_ == StatusSource::kPitModel) continue;
+      for (const auto& row : covs[i]) {
+        cc.covariates.insert(cc.covariates.end(), row.begin(), row.end());
       }
     }
   }
@@ -303,6 +290,7 @@ RankNetForecaster::replayed_step(const RaceCache& rc, std::size_t step) {
   // Each row then holds its traced state bit for bit.
   const std::size_t step_size = model_->trace_step_size();
   const std::size_t checkpoint = step / kTraceEvery * kTraceEvery;
+  const std::size_t steps = step - checkpoint;
   std::vector<int> cars;
   std::vector<std::span<const double>> starts;
   std::vector<int> car_index;
@@ -313,34 +301,38 @@ RankNetForecaster::replayed_step(const RaceCache& rc, std::size_t step) {
         checkpoint / kTraceEvery * step_size, step_size));
     car_index.push_back(vocab_.index(car_id));
   }
+  // Per car its rows checkpoint + 1 .. step + 1: step t reads row t + 1,
+  // and a multivariate target the aux dims in the leading covariates of
+  // row t, zero-filled past the row.
   const std::size_t td = model_->config().target_dim;
-  const auto covariate_row = [&](const CarCache& cc, std::size_t row) {
-    std::vector<double> out(cov_config_.dim());
-    features::write_covariate_row(cc.streams, row, cov_config_,
-                                  cc.streams.ages_after(row + 1), out.data());
-    return out;
-  };
-  auto state = model_->state_from_trace(starts);
-  std::vector<std::vector<double>> z(cars.size()), covs(cars.size());
-  for (std::size_t t = checkpoint + 1; t <= step; ++t) {
-    for (std::size_t c = 0; c < cars.size(); ++c) {
-      const auto& cc = rc.cars.at(cars[c]);
-      z[c].assign(1, cc.history[t]);
-      if (td > 1) {
-        // Multivariate target: the aux dims ride in the leading covariates
-        // of the same lap, zero-filled past the row.
-        const auto aux = covariate_row(cc, t);
-        for (std::size_t j = 1; j < td; ++j) {
-          z[c].push_back(j - 1 < aux.size() ? aux[j - 1] : 0.0);
-        }
-      }
-      covs[c] = covariate_row(cc, t + 1);
+  const std::size_t dim = cov_config_.dim();
+  const std::size_t n = cars.size();
+  std::vector<double> rows((steps + 1) * dim * n);
+  std::vector<std::span<const double>> covs(n);
+  std::vector<double> z(steps * n * td);
+  for (std::size_t c = 0; c < n; ++c) {
+    const auto& cc = rc.cars.at(cars[c]);
+    double* car_rows = rows.data() + c * (steps + 1) * dim;
+    for (std::size_t k = 0; k <= steps; ++k) {
+      const std::size_t row = checkpoint + 1 + k;
+      features::write_covariate_row(cc.streams, row, cov_config_,
+                                    cc.streams.ages_after(row + 1),
+                                    car_rows + k * dim);
     }
-    model_->advance(state, z, covs, car_index);
+    covs[c] = {car_rows + dim, steps * dim};
+    for (std::size_t t = 0; t < steps; ++t) {
+      double* zt = z.data() + (t * n + c) * td;
+      zt[0] = cc.history[checkpoint + 1 + t];
+      for (std::size_t j = 1; j < td; ++j) {
+        zt[j] = j - 1 < dim ? car_rows[t * dim + j - 1] : 0.0;
+      }
+    }
   }
+  auto state = model_->state_from_trace(starts);
+  model_->advance(state, {covs, dim, z, car_index}, steps);
   rs->states.resize(cars.size() * step_size);
   model_->trace_from_state(state, rs->states);
-  trace_metrics().replay_steps->add(cars.size() * (step - checkpoint));
+  trace_metrics().replay_steps->add(n * steps);
   rs->cars = std::move(cars);
   rs->filled = true;
   return rs;
@@ -386,18 +378,6 @@ RaceSamples RankNetForecaster::forecast_partition(
           : 0;
   const int tail = std::min<int>(tail_wanted, origin_lap - 2);
 
-  const std::size_t rows = cars.size() * s_count;
-  std::vector<int> car_index(rows);
-  std::vector<std::vector<double>> z_prev(rows);
-  std::vector<std::vector<std::vector<double>>> future_covs(rows);
-  // Per-row covariates of the tail laps (teacher-forced replay window).
-  std::vector<std::vector<std::vector<double>>> tail_covs(
-      static_cast<std::size_t>(tail));
-  for (auto& step : tail_covs) step.resize(rows);
-  std::vector<std::vector<std::vector<double>>> tail_z(
-      static_cast<std::size_t>(tail));
-  for (auto& step : tail_z) step.resize(rows);
-
   // A car's encoder state before the tail replay: its trace step after lap
   // origin - tail - 1. The race cache keeps every kTraceEvery-th step; any
   // other is read from the replayed step shared by the partitions.
@@ -427,74 +407,51 @@ RaceSamples RankNetForecaster::forecast_partition(
     }
   }
 
+  // Per (car, sample) row: its covariate rows read in place from the
+  // first tail lap on, `dim` doubles each, and its last observed target.
+  const std::size_t rows = cars.size() * s_count;
+  const std::size_t td = model_->config().target_dim;
+  const std::size_t dim = cov_config_.dim();
+  const auto tail_n = static_cast<std::size_t>(tail);
+  std::vector<int> car_index(rows);
+  std::vector<std::span<const double>> covs(rows);
+  std::vector<double> z(rows * td);
+  std::shared_ptr<const ForecastContext> ctx;
   if (source_ == StatusSource::kPitModel) {
-    const auto ctx = forecast_context(rc, origin_lap, horizon, num_samples,
-                                      base, tail);
-    const std::size_t dim = cov_config_.dim();
-    const std::size_t window = static_cast<std::size_t>(tail) + h_count;
-    for (std::size_t c = 0; c < cars.size(); ++c) {
-      const int car_id = cars[c];
-      const auto& cc = rc.cars.at(car_id);
+    ctx = forecast_context(rc, origin_lap, horizon, num_samples, base, tail);
+  }
+  for (std::size_t c = 0; c < cars.size(); ++c) {
+    const int car_id = cars[c];
+    const auto& cc = rc.cars.at(car_id);
+    std::size_t i = 0;
+    if (ctx != nullptr) {
       const auto it =
           std::lower_bound(ctx->cars.begin(), ctx->cars.end(), car_id);
       if (it == ctx->cars.end() || *it != car_id) {
         throw std::out_of_range(
             "RankNetForecaster: partition car not in forecast_cars");
       }
-      const auto i = static_cast<std::size_t>(it - ctx->cars.begin());
-      for (std::size_t s = 0; s < s_count; ++s) {
-        const std::size_t row = c * s_count + s;
-        // Covariate row of lap (origin - tail + k + 1) for this car/sample.
-        const auto cov_row = [&](std::size_t k) {
-          const double* p =
-              ctx->rows.data() +
-              ((s * ctx->cars.size() + i) * window + k) * dim;
-          return std::vector<double>(p, p + dim);
-        };
-        car_index[row] = vocab_.index(car_id);
-        z_prev[row] = {cc.history[origin - 1]};
-        auto& fc = future_covs[row];
-        fc.resize(h_count);
-        for (std::size_t h = 0; h < h_count; ++h) {
-          fc[h] = cov_row(static_cast<std::size_t>(tail) + h);
-        }
-        for (int t = 0; t < tail; ++t) {
-          // Tail step t replays lap (origin - tail + t): input is
-          // [z at that lap - 1, cov at that lap].
-          const auto lap0 =
-              origin - static_cast<std::size_t>(tail) + static_cast<std::size_t>(t);
-          tail_z[static_cast<std::size_t>(t)][row] = {cc.history[lap0 - 1]};
-          tail_covs[static_cast<std::size_t>(t)][row] =
-              cov_row(static_cast<std::size_t>(t));
-        }
-      }
+      i = static_cast<std::size_t>(it - ctx->cars.begin());
     }
-  } else {
-    // Oracle / Joint / DeepAR: covariates straight from the cached
-    // (ground-truth) streams; rows for the same car share them.
-    for (std::size_t c = 0; c < cars.size(); ++c) {
-      const int car_id = cars[c];
-      const auto& cc = rc.cars.at(car_id);
-      for (std::size_t s = 0; s < s_count; ++s) {
-        const std::size_t row = c * s_count + s;
-        car_index[row] = vocab_.index(car_id);
-        if (source_ == StatusSource::kJoint) {
-          // Multivariate target: [rank, aux status dims from covariates].
-          z_prev[row] = {cc.history[origin - 1]};
-          const auto& aux = cc.covariates[origin - 1];
-          for (std::size_t j = 0; j + 1 < model_->config().target_dim; ++j) {
-            z_prev[row].push_back(j < aux.size() ? aux[j] : 0.0);
-          }
-        } else {
-          z_prev[row] = {cc.history[origin - 1]};
-        }
-        auto& fc = future_covs[row];
-        fc.resize(h_count);
-        for (std::size_t h = 0; h < h_count; ++h) {
-          const std::size_t idx = origin + h;
-          fc[h] = idx < cc.covariates.size()
-                      ? cc.covariates[idx]
-                      : std::vector<double>(cov_config_.dim(), 0.0);
+    for (std::size_t s = 0; s < s_count; ++s) {
+      const std::size_t row = c * s_count + s;
+      car_index[row] = vocab_.index(car_id);
+      double* zr = z.data() + row * td;
+      zr[0] = cc.history[origin - 1];
+      if (ctx != nullptr) {
+        // The sampled rows of laps origin - tail + 1 .. origin + horizon.
+        const std::size_t window = tail_n + h_count;
+        covs[row] = std::span<const double>(ctx->rows).subspan(
+            (s * ctx->cars.size() + i) * window * dim, window * dim);
+      } else {
+        // Ground-truth rows from lap origin + 1 on; rows past the car's log
+        // read zeros. A multivariate target's aux dims (Joint) are the
+        // leading covariates of the origin lap, zero-filled past the row.
+        covs[row] =
+            std::span<const double>(cc.covariates).subspan(origin * dim);
+        for (std::size_t j = 1; j < td; ++j) {
+          zr[j] = j - 1 < dim ? cc.covariates[(origin - 1) * dim + j - 1]
+                              : 0.0;
         }
       }
     }
@@ -511,66 +468,53 @@ RaceSamples RankNetForecaster::forecast_partition(
     }
   }
 
+  // Teacher-forced tail replay (PitModel mode only; tail == 0 otherwise),
+  // one state row per entry of `from`, each read from that row's inputs:
+  // step t replays lap origin - tail + t, whose input is [z at the lap
+  // before, covariate row t]. Afterwards `covs` start at the decode rows.
+  const auto replay_tail = [&](LstmSeqModel::StackState& state,
+                               std::span<const std::size_t> from) {
+    if (tail_n == 0) return;
+    const std::size_t n = from.size();
+    std::vector<std::span<const double>> from_covs(n);
+    std::vector<int> from_index(n);
+    std::vector<double> tail_z(tail_n * n * td);
+    for (std::size_t k = 0; k < n; ++k) {
+      from_covs[k] = covs[from[k]];
+      from_index[k] = car_index[from[k]];
+      const auto& history = rc.cars.at(cars[from[k] / s_count]).history;
+      for (std::size_t t = 0; t < tail_n; ++t) {
+        tail_z[(t * n + k) * td] = history[origin - tail_n + t - 1];
+      }
+    }
+    model_->advance(state, {from_covs, dim, tail_z, from_index}, tail_n);
+    for (auto& cov : covs) cov = cov.subspan(tail_n * dim);
+  };
+
   tensor::Matrix out;
   if (decode_mode_ == DecodeMode::kTree) {
     // ---- shared-prefix decode tree ------------------------------------
     // A branch is a set of same-car rows whose prefix inputs (tail-lap and
-    // first-decode-lap covariates; z_prev and tail targets are per-car by
+    // first-decode-lap covariates; z and tail targets are per-car by
     // construction) coincide bit-for-bit. Oracle/Joint/DeepAR rows of a car
     // always coincide (ground-truth covariates): one branch per car.
     // PitModel rows fork where their sampled pit/caution realizations
-    // diverge inside the prefix window: grouped by covariate_window_digest,
-    // then confirmed by exact bit comparison (digest collisions must not
-    // merge distinct branches).
-    const auto windows_equal = [&](std::size_t a, std::size_t b) {
-      const auto bits_equal = [](const std::vector<double>& x,
-                                 const std::vector<double>& y) {
-        return x.size() == y.size() &&
-               (x.empty() || std::memcmp(x.data(), y.data(),
-                                         x.size() * sizeof(double)) == 0);
-      };
-      for (int t = 0; t < tail; ++t) {
-        const auto& step = tail_covs[static_cast<std::size_t>(t)];
-        if (!bits_equal(step[a], step[b])) return false;
-      }
-      return bits_equal(future_covs[a][0], future_covs[b][0]);
-    };
-
+    // diverge inside the prefix window, rows 0 .. tail of the row's window,
+    // one contiguous run compared in place against each branch of the car.
+    const std::size_t prefix = (tail_n + 1) * dim * sizeof(double);
     std::vector<std::size_t> branch_of_row(rows);
     std::vector<std::size_t> branch_rep;  // first member row per branch
     for (std::size_t c = 0; c < cars.size(); ++c) {
-      if (source_ != StatusSource::kPitModel) {
-        const std::size_t b = branch_rep.size();
-        branch_rep.push_back(c * s_count);
-        for (std::size_t s = 0; s < s_count; ++s) {
-          branch_of_row[c * s_count + s] = b;
-        }
-        continue;
-      }
-      // digest -> branch ids of this car (usually one; more on collision)
-      std::map<std::uint64_t, std::vector<std::size_t>> groups;
-      std::vector<std::span<const double>> window(
-          static_cast<std::size_t>(tail) + 1);
+      const std::size_t first_branch = branch_rep.size();
       for (std::size_t s = 0; s < s_count; ++s) {
         const std::size_t row = c * s_count + s;
-        for (int t = 0; t < tail; ++t) {
-          window[static_cast<std::size_t>(t)] =
-              tail_covs[static_cast<std::size_t>(t)][row];
+        std::size_t found = first_branch;
+        while (ctx != nullptr && found < branch_rep.size() &&
+               std::memcmp(covs[branch_rep[found]].data(), covs[row].data(),
+                           prefix) != 0) {
+          ++found;
         }
-        window[static_cast<std::size_t>(tail)] = future_covs[row][0];
-        auto& bucket = groups[covariate_window_digest(window)];
-        std::size_t found = rows;
-        for (std::size_t b : bucket) {
-          if (windows_equal(branch_rep[b], row)) {
-            found = b;
-            break;
-          }
-        }
-        if (found == rows) {
-          found = branch_rep.size();
-          branch_rep.push_back(row);
-          bucket.push_back(found);
-        }
+        if (found == branch_rep.size()) branch_rep.push_back(row);
         branch_of_row[row] = found;
       }
     }
@@ -579,32 +523,13 @@ RaceSamples RankNetForecaster::forecast_partition(
     // shared prefix runs at branch width instead of row width.
     const std::size_t n_branches = branch_rep.size();
     std::vector<std::span<const double>> branch_steps(n_branches);
-    std::vector<int> branch_car_index(n_branches);
-    std::vector<std::vector<std::vector<double>>> btail_z(
-        static_cast<std::size_t>(tail));
-    std::vector<std::vector<std::vector<double>>> btail_covs(
-        static_cast<std::size_t>(tail));
-    for (auto& step : btail_z) step.resize(n_branches);
-    for (auto& step : btail_covs) step.resize(n_branches);
     for (std::size_t b = 0; b < n_branches; ++b) {
-      const std::size_t row = branch_rep[b];
-      branch_steps[b] = car_steps[row / s_count];
-      branch_car_index[b] = car_index[row];
-      for (int t = 0; t < tail; ++t) {
-        btail_z[static_cast<std::size_t>(t)][b] =
-            tail_z[static_cast<std::size_t>(t)][row];
-        btail_covs[static_cast<std::size_t>(t)][b] =
-            tail_covs[static_cast<std::size_t>(t)][row];
-      }
+      branch_steps[b] = car_steps[branch_rep[b] / s_count];
     }
     auto branch_state = model_->state_from_trace(branch_steps);
-    for (int t = 0; t < tail; ++t) {
-      model_->advance(branch_state, btail_z[static_cast<std::size_t>(t)],
-                      btail_covs[static_cast<std::size_t>(t)],
-                      branch_car_index);
-    }
-    out = model_->sample_forward_tree(branch_state, branch_of_row, z_prev,
-                                      future_covs, car_index, horizon,
+    replay_tail(branch_state, branch_rep);
+    out = model_->sample_forward_tree(branch_state, branch_of_row,
+                                      {covs, dim, z, car_index}, horizon,
                                       row_rngs);
     // shared_rows = row-steps of LSTM+head work skipped vs independent
     // decode (tail replay + decode step 1 ran at branch width).
@@ -612,23 +537,19 @@ RaceSamples RankNetForecaster::forecast_partition(
     m.decodes->add(1);
     m.rows->add(rows);
     m.branches->add(n_branches);
-    m.shared_rows->add((rows - n_branches) *
-                       (static_cast<std::size_t>(tail) + 1));
+    m.shared_rows->add((rows - n_branches) * (tail_n + 1));
   } else {
     // ---- independent decode (historical path) -------------------------
     std::vector<std::span<const double>> row_steps(rows);
+    std::vector<std::size_t> all_rows(rows);
     for (std::size_t row = 0; row < rows; ++row) {
       row_steps[row] = car_steps[row / s_count];
+      all_rows[row] = row;
     }
     auto state = model_->state_from_trace(row_steps);
-
-    // Teacher-forced tail replay (PitModel mode only; tail == 0 otherwise).
-    for (int t = 0; t < tail; ++t) {
-      model_->advance(state, tail_z[static_cast<std::size_t>(t)],
-                      tail_covs[static_cast<std::size_t>(t)], car_index);
-    }
-    out = model_->sample_forward(state, z_prev, future_covs, car_index,
-                                 horizon, row_rngs);
+    replay_tail(state, all_rows);
+    out = model_->sample_forward(state, {covs, dim, z, car_index}, horizon,
+                                 row_rngs);
   }
 
   RaceSamples samples;

@@ -56,10 +56,6 @@ const char* status_source_name(StatusSource s);
 ///                 in tests/test_decode_tree.cpp), strictly less work.
 enum class DecodeMode { kIndependent, kTree };
 
-/// Process default: kTree, overridable via RANKNET_DECODE=independent|tree
-/// (read once at first call — same pattern as RANKNET_KERNEL).
-DecodeMode default_decode_mode();
-
 class RankNetForecaster : public RaceForecaster,
                           public PartitionableForecaster {
  public:
@@ -99,8 +95,8 @@ class RankNetForecaster : public RaceForecaster,
   /// memory).
   void clear_cache();
 
-  /// Decode strategy; defaults to default_decode_mode(). The differential
-  /// tests flip this to prove kTree bit-identical to kIndependent.
+  /// Decode strategy; kTree unless set. The differential tests flip this
+  /// to prove kTree bit-identical to kIndependent.
   void set_decode_mode(DecodeMode mode) { decode_mode_ = mode; }
   DecodeMode decode_mode() const { return decode_mode_; }
 
@@ -108,10 +104,12 @@ class RankNetForecaster : public RaceForecaster,
   struct CarCache {
     std::vector<double> history;  // observed ranks
     features::StatusStreams streams;
-    /// Ground-truth covariate rows. kPitModel decodes against sampled rows
-    /// only, so it drops them once the trace is built; a checkpoint replay
-    /// rebuilds the few rows it needs from `streams`.
-    std::vector<std::vector<double>> covariates;
+    /// Ground-truth covariate rows, one per lap, cov_config.dim() values
+    /// each, back to back: the Oracle, Joint and DeepAR decode read them in
+    /// place. kPitModel decodes against sampled rows only, so it keeps
+    /// none; a checkpoint replay rebuilds the few rows it needs from
+    /// `streams`.
+    std::vector<double> covariates;
     /// Steps 0, K, 2K, ... of LstmSeqModel::trace_flat of the log (K =
     /// kTraceEvery in ranknet.cpp), back to back: trace_checkpoints' layout.
     std::vector<double> trace;
@@ -130,7 +128,10 @@ class RankNetForecaster : public RaceForecaster,
   /// Holds the covariate rows the decoder reads, laps origin - tail + 1 ..
   /// origin + horizon (`window` = tail + horizon rows) for every car of
   /// `cars` (= forecast_cars) and sample: row k of car i in sample s starts
-  /// at rows[((s * cars.size() + i) * window + k) * dim].
+  /// at rows[((s * cars.size() + i) * window + k) * dim]. A (car, sample)
+  /// row's window is one contiguous run, so its tail replay and decode
+  /// read it in place, and the decode tree compares its prefix (rows 0 ..
+  /// tail) in place too.
   struct ForecastContext {
     std::uint64_t generation = 0;  // of the RaceCache it was drawn over
     int origin = 0;
@@ -175,7 +176,7 @@ class RankNetForecaster : public RaceForecaster,
   features::CovariateConfig cov_config_;
   StatusSource source_;
   std::string name_;
-  DecodeMode decode_mode_ = default_decode_mode();
+  DecodeMode decode_mode_ = DecodeMode::kTree;
   std::map<std::string, RaceCache> cache_;
   std::uint64_t generations_ = 0;  // RaceCache builds so far
   /// The last few forecast contexts and replayed steps, oldest first.

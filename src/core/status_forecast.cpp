@@ -3,20 +3,9 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "core/forecast_cache.hpp"
 #include "tensor/workspace.hpp"
 
 namespace ranknet::core {
-
-std::uint64_t covariate_window_digest(
-    std::span<const std::span<const double>> rows) {
-  Fnv1a h;
-  for (const auto& row : rows) {
-    h.update_u64(static_cast<std::uint64_t>(row.size()));
-    for (double v : row) h.update_double(v);
-  }
-  return h.digest();
-}
 
 PitFeatures current_pit_features(const features::StatusStreams& streams,
                                  std::size_t origin) {

@@ -14,15 +14,6 @@
 
 namespace ranknet::core {
 
-/// FNV-1a digest (core::Fnv1a) over the bit patterns of a sequence of
-/// covariate rows. The decode tree uses it as the fork signature: MC
-/// samples whose realized pit/caution covariates coincide bit-for-bit over
-/// the shared-prefix window (encoder-tail laps + the first decode lap) land
-/// in the same branch. Hashing bit patterns — not values — keeps the
-/// grouping aligned with the byte-identity contract (0.0 and -0.0 differ).
-std::uint64_t covariate_window_digest(
-    std::span<const std::span<const double>> rows);
-
 /// Accumulation features (CautionLaps, PitAge) at the end of `origin` laps.
 PitFeatures current_pit_features(const features::StatusStreams& streams,
                                  std::size_t origin);

@@ -110,12 +110,14 @@ TEST(LstmSeqModel, LearnsCovariateDrivenJump) {
   auto mean_forecast = [&](double cov_value) {
     double acc = 0.0;
     const int reps = 200;
+    const std::span<const double> fut(&cov_value, 1);
+    const double z = 10.0;
+    const int car = 0;
     for (int i = 0; i < reps; ++i) {
       auto state = model.state_from_trace({&last, 1});
-      const std::vector<std::vector<std::vector<double>>> fut{
-          {{cov_value}}};
-      const auto out = model.sample_forward(state, {{10.0}}, fut, {0}, 1,
-                                            rng);
+      const auto out =
+          model.sample_forward(state, {{&fut, 1}, 1, {&z, 1}, {&car, 1}}, 1,
+                               rng);
       acc += out(0, 0);
     }
     return acc / reps;
@@ -131,30 +133,43 @@ bool BitsEqual(std::span<const double> a, std::span<const double> b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
+/// Rows [first, end) of `rows`, back to back.
+std::vector<double> Flatten(const std::vector<std::vector<double>>& rows,
+                            std::size_t first = 0) {
+  std::vector<double> out;
+  for (std::size_t t = first; t < rows.size(); ++t) {
+    out.insert(out.end(), rows[t].begin(), rows[t].end());
+  }
+  return out;
+}
+
 TEST(LstmSeqModel, TraceMatchesManualAdvance) {
   // Bit for bit, not approximately: a forecast starts from a checkpointed
   // trace step and replays the steps after it through advance(), so its
   // bytes rest on this.
   LstmSeqModel model(toy_config());
   model.set_scaler(toy_scaler());
-  const std::vector<std::vector<double>> history{{10, 11, 12, 13}};
-  const std::vector<std::vector<std::vector<double>>> covs{
-      {{0}, {1}, {0}, {1}}};
-  const auto trace = model.trace(history, covs, {0});
-  ASSERT_EQ(trace.size(), 3u);
-  // Replaying the last step from trace[1] must reproduce trace[2].
-  auto state = trace[1];
-  model.advance(state, {{history[0][2]}}, {covs[0][3]}, {0});
-  for (std::size_t l = 0; l < state.size(); ++l) {
-    EXPECT_TRUE(BitsEqual(state[l].h.flat(), trace[2][l].h.flat()));
-    EXPECT_TRUE(BitsEqual(state[l].c.flat(), trace[2][l].c.flat()));
-  }
+  const std::vector<double> history{10, 11, 12, 13};
+  const std::vector<std::vector<double>> covs{{0}, {1}, {0}, {1}};
+  const auto trace = model.trace_flat(history, covs, 0);
+  const std::size_t step = model.trace_step_size();
+  ASSERT_EQ(trace.size(), 3 * step);
+  // Replaying the last step from step 1 must reproduce step 2.
+  const auto slice = std::span<const double>(trace).subspan(step, step);
+  auto state = model.state_from_trace({&slice, 1});
+  const std::span<const double> cov(covs[3]);
+  const int car = 0;
+  model.advance(state, {{&cov, 1}, 1, {&history[2], 1}, {&car, 1}}, 1);
+  std::vector<double> got(step);
+  model.trace_from_state(state, got);
+  EXPECT_TRUE(BitsEqual(got, std::span<const double>(trace).last(step)));
 
   // Every step of a multi-lap trace, rebuilt from the checkpoint at or
-  // below it as a forecast does: load the kept step, then advance with the
-  // inputs the trace consumed at each later step (z of that lap, the next
-  // lap's covariate row). A multivariate target carries its aux dims in
-  // the leading covariates of the same lap, as run_trace packs them.
+  // below it as a forecast does: load the kept step, then advance in one
+  // call with the inputs the trace consumed at each later step (z of that
+  // lap, the next lap's covariate row). A multivariate target carries its
+  // aux dims in the leading covariates of the same lap, as run_trace packs
+  // them.
   for (const std::size_t target_dim : {std::size_t{1}, std::size_t{3}}) {
     auto cfg = toy_config();
     cfg.cov_dim = 3;
@@ -182,13 +197,18 @@ TEST(LstmSeqModel, TraceMatchesManualAdvance) {
         const std::span<const double> checkpoint =
             std::span<const double>(kept).subspan(from * step, step);
         auto replayed = m.state_from_trace({&checkpoint, 1});
-        for (std::size_t u = from * every + 1; u <= t; ++u) {
-          std::vector<double> z{ranks[u]};
+        const std::size_t first = from * every + 1;
+        std::vector<double> z;
+        for (std::size_t u = first; u <= t; ++u) {
+          z.push_back(ranks[u]);
           for (std::size_t j = 1; j < target_dim; ++j) {
             z.push_back(rows[u][j - 1]);
           }
-          m.advance(replayed, {z}, {rows[u + 1]}, {1});
         }
+        const auto cov_rows = Flatten(rows, first + 1);
+        const std::span<const double> cov(cov_rows);
+        const int car = 1;
+        m.advance(replayed, {{&cov, 1}, 3, z, {&car, 1}}, t + 1 - first);
         std::vector<double> got(step);
         m.trace_from_state(replayed, got);
         EXPECT_TRUE(BitsEqual(
@@ -257,37 +277,42 @@ TEST(LstmSeqModel, BatchedCheckpointsMatchPerCarTraceOnARaggedField) {
   }
 }
 
-TEST(LstmSeqModel, FlatTraceMatchesTraceBitForBit) {
-  // toy_config has two layers, so the per-layer layout is exercised too.
+TEST(LstmSeqModel, FlatTraceMatchesAdvanceFromZeroState) {
+  // An independent recurrence: step t of the flat trace is t + 1 advance
+  // steps from a zero state over the same inputs, bit for bit. toy_config
+  // has two layers, so the per-layer layout is exercised too.
   const auto cfg = toy_config();
   LstmSeqModel model(cfg);
   model.set_scaler(toy_scaler());
-  const std::vector<std::vector<double>> history{{10, 11, 9, 12, 12, 8}};
-  const std::vector<std::vector<std::vector<double>>> covs{
-      {{0}, {1}, {0}, {1}, {1}, {0}}};
-  const auto trace = model.trace(history, covs, {0});
-  const auto flat = model.trace_flat(history[0], covs[0], 0);
+  const std::vector<double> history{10, 11, 9, 12, 12, 8};
+  const std::vector<std::vector<double>> covs{{0}, {1}, {0}, {1}, {1}, {0}};
+  const auto flat = model.trace_flat(history, covs, 0);
   const std::size_t step = model.trace_step_size();
   ASSERT_EQ(step, cfg.num_layers * 2 * cfg.hidden);
-  ASSERT_EQ(flat.size(), trace.size() * step);
-  for (std::size_t t = 0; t < trace.size(); ++t) {
-    const auto slice = std::span<const double>(flat).subspan(t * step, step);
-    for (std::size_t l = 0; l < cfg.num_layers; ++l) {
-      const auto h = slice.subspan(2 * l * cfg.hidden, cfg.hidden);
-      const auto c = slice.subspan((2 * l + 1) * cfg.hidden, cfg.hidden);
-      EXPECT_TRUE(BitsEqual(h, trace[t][l].h.flat())) << "step " << t << " h" << l;
-      EXPECT_TRUE(BitsEqual(c, trace[t][l].c.flat())) << "step " << t << " c" << l;
-    }
+  ASSERT_EQ(flat.size(), (history.size() - 1) * step);
+  const auto cov_rows = Flatten(covs, 1);
+  const std::span<const double> cov(cov_rows);
+  const int car = 0;
+  for (std::size_t t = 0; t + 1 < history.size(); ++t) {
+    LstmSeqModel::StackState state(cfg.num_layers,
+                                   nn::LstmState(1, cfg.hidden));
+    model.advance(state, {{&cov, 1}, 1, {history.data(), t + 1}, {&car, 1}},
+                  t + 1);
+    std::vector<double> got(step);
+    model.trace_from_state(state, got);
+    EXPECT_TRUE(BitsEqual(
+        got, std::span<const double>(flat).subspan(t * step, step)))
+        << "step " << t;
   }
 }
 
 TEST(LstmSeqModel, StateFromTraceCopiesStepsPerRow) {
-  LstmSeqModel model(toy_config());
+  const auto cfg = toy_config();
+  LstmSeqModel model(cfg);
   model.set_scaler(toy_scaler());
-  const std::vector<std::vector<double>> history{{10, 11, 12}};
-  const std::vector<std::vector<std::vector<double>>> covs{{{0}, {1}, {0}}};
-  const auto trace = model.trace(history, covs, {0});
-  const auto flat = model.trace_flat(history[0], covs[0], 0);
+  const std::vector<double> history{10, 11, 12};
+  const std::vector<std::vector<double>> covs{{0}, {1}, {0}};
+  const auto flat = model.trace_flat(history, covs, 0);
   const std::size_t step = model.trace_step_size();
   const auto slice = [&](std::size_t t) {
     return std::span<const double>(flat).subspan(t * step, step);
@@ -297,14 +322,15 @@ TEST(LstmSeqModel, StateFromTraceCopiesStepsPerRow) {
   const std::vector<std::span<const double>> steps{slice(1), slice(1),
                                                    slice(1), slice(0)};
   const auto state = model.state_from_trace(steps);
-  ASSERT_EQ(state.size(), trace[0].size());
+  ASSERT_EQ(state.size(), cfg.num_layers);
   for (std::size_t l = 0; l < state.size(); ++l) {
     ASSERT_EQ(state[l].h.rows(), 4u);
     for (std::size_t r = 0; r < 4; ++r) {
-      const auto& want = trace[r < 3 ? 1 : 0][l];
-      for (std::size_t c = 0; c < state[l].h.cols(); ++c) {
-        EXPECT_EQ(state[l].h(r, c), want.h(0, c));
-        EXPECT_EQ(state[l].c(r, c), want.c(0, c));
+      // Layer l of a flat step: h then c, `hidden` values each.
+      const auto want = slice(r < 3 ? 1 : 0).subspan(2 * l * cfg.hidden);
+      for (std::size_t c = 0; c < cfg.hidden; ++c) {
+        EXPECT_EQ(state[l].h(r, c), want[c]);
+        EXPECT_EQ(state[l].c(r, c), want[cfg.hidden + c]);
       }
     }
   }
@@ -323,12 +349,12 @@ TEST(LstmSeqModel, SampleForwardShapesAndSpread) {
   const std::vector<std::span<const double>> start(
       64, std::span<const double>(trace).last(step));
   auto state = model.state_from_trace(start);
-  std::vector<std::vector<double>> z(64, {10.0});
-  std::vector<std::vector<std::vector<double>>> fut(
-      64, {{0.0}, {0.0}, {0.0}, {0.0}});
-  std::vector<int> idx(64, 0);
+  const std::vector<double> z(64, 10.0);
+  const std::vector<double> zeros(4, 0.0);
+  const std::vector<std::span<const double>> fut(64, zeros);
+  const std::vector<int> idx(64, 0);
   util::Rng rng(4);
-  const auto out = model.sample_forward(state, z, fut, idx, 4, rng);
+  const auto out = model.sample_forward(state, {fut, 1, z, idx}, 4, rng);
   EXPECT_EQ(out.rows(), 64u);
   EXPECT_EQ(out.cols(), 4u);
   // Untrained model: samples must still be finite, in the clamp range, and

@@ -166,7 +166,7 @@ class DecodeTreeTest : public ::testing::Test {
           << f.name() << " engine rng state diverged at " << threads
           << " threads";
     }
-    f.set_decode_mode(core::default_decode_mode());
+    f.set_decode_mode(core::DecodeMode::kTree);
   }
 
   static telemetry::RaceLog* race_;
@@ -230,13 +230,8 @@ TEST_F(DecodeTreeTest, SingleSampleAndShortHorizonEdges) {
   ExpectTreeMatchesIndependent(p, 3, 3, 4, 99);
 }
 
-TEST_F(DecodeTreeTest, EnvDefaultIsTreeAndOverridable) {
-  // The process default comes from RANKNET_DECODE, read once. The ctest
-  // invocation does not set it, so the default must be kTree.
-  if (const char* env = std::getenv("RANKNET_DECODE")) {
-    GTEST_SKIP() << "RANKNET_DECODE=" << env << " set; default not testable";
-  }
-  EXPECT_EQ(core::default_decode_mode(), core::DecodeMode::kTree);
+TEST_F(DecodeTreeTest, DefaultIsTreeAndSettable) {
+  // A new forecaster decodes as a tree; the setter flips it.
   core::RankNetForecaster f(model_, nullptr, *vocab_,
                             features::CovariateConfig{},
                             core::StatusSource::kOracle, "oracle");
@@ -296,7 +291,7 @@ TEST_F(DecodeTreeTest, OracleCountersReportOneBranchPerCar) {
   // (tail == 0) one shared row-step per coalesced row.
   EXPECT_EQ(counter("decode_tree.branches"), cars);
   EXPECT_EQ(counter("decode_tree.shared_rows"), cars * (kSamples - 1));
-  f.set_decode_mode(core::default_decode_mode());
+  f.set_decode_mode(core::DecodeMode::kTree);
 }
 
 TEST_F(DecodeTreeTest, PitModelCountersShowCoalescing) {
@@ -320,7 +315,7 @@ TEST_F(DecodeTreeTest, PitModelCountersShowCoalescing) {
   // some sharing at green-flag laps.
   EXPECT_GE(branches, cars);
   EXPECT_LT(branches, rows);  // some reuse must exist
-  f.set_decode_mode(core::default_decode_mode());
+  f.set_decode_mode(core::DecodeMode::kTree);
 }
 
 // ---------------------------------------------------------------------------

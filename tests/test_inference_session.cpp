@@ -261,14 +261,15 @@ Matrix run_sample_forward(const core::LstmSeqModel& model, std::size_t rows,
   for (std::size_t l = 0; l < model.config().num_layers; ++l) {
     state.emplace_back(rows, model.config().hidden);
   }
-  std::vector<std::vector<double>> z_prev(rows, std::vector<double>{12.0});
-  std::vector<std::vector<std::vector<double>>> covs(
-      rows, std::vector<std::vector<double>>(
-                static_cast<std::size_t>(horizon),
-                std::vector<double>(model.config().cov_dim, 0.25)));
-  std::vector<int> car_index(rows, 1);
+  const std::size_t cov_dim = model.config().cov_dim;
+  const std::vector<double> z(rows, 12.0);
+  const std::vector<double> cov_rows(
+      static_cast<std::size_t>(horizon) * cov_dim, 0.25);
+  const std::vector<std::span<const double>> covs(rows, cov_rows);
+  const std::vector<int> car_index(rows, 1);
   Rng rng(seed);
-  return model.sample_forward(state, z_prev, covs, car_index, horizon, rng);
+  return model.sample_forward(state, {covs, cov_dim, z, car_index}, horizon,
+                              rng);
 }
 
 TEST(ZeroAlloc, LstmDecodeLoopSteadyState) {

@@ -124,25 +124,32 @@ telemetry::RaceLog RaggedPrefix(const telemetry::RaceLog& race) {
   return telemetry::RaceLog(race.info(), std::move(records));
 }
 
-/// The decode of a ground-truth-source RankNetForecaster (Oracle, Joint,
-/// DeepAR) rebuilt from each car's full trace_flat through public
-/// LstmSeqModel calls only: the spec the checkpointed race cache must meet
-/// bit for bit.
+/// The decode of a RankNetForecaster rebuilt from each car's full
+/// trace_flat through public calls only: the spec the checkpointed race
+/// cache and the in-place decode must meet bit for bit. Without a pit model
+/// it decodes a ground-truth source (Oracle, Joint, DeepAR); with one, the
+/// PitModel source: sample s's status rows come from a StatusSampler over
+/// the whole field drawing from Rng::stream(base, s, 0), the encoder tail
+/// is replayed with advance() and every row decodes independently.
 class FullTraceReference {
  public:
   FullTraceReference(std::shared_ptr<const core::LstmSeqModel> model,
                      const telemetry::RaceLog& race,
                      const features::CarVocab& vocab,
-                     features::CovariateConfig config)
-      : model_(std::move(model)), config_(config) {
+                     features::CovariateConfig config,
+                     std::shared_ptr<const core::PitModel> pit = nullptr)
+      : model_(std::move(model)), config_(config), pit_(std::move(pit)) {
     for (const int car_id : race.car_ids()) {
       if (race.car(car_id).laps() < 3) continue;
       Car car;
       car.index = vocab.index(car_id);
       car.history = race.car(car_id).rank;
-      car.covariates = features::build_covariates(
-          features::StatusStreams::from_race(race, car_id), config_);
-      car.trace = model_->trace_flat(car.history, car.covariates, car.index);
+      car.streams = features::StatusStreams::from_race(race, car_id);
+      const auto rows = features::build_covariates(car.streams, config_);
+      car.trace = model_->trace_flat(car.history, rows, car.index);
+      for (const auto& row : rows) {
+        car.covariates.insert(car.covariates.end(), row.begin(), row.end());
+      }
       cars_.emplace(car_id, std::move(car));
     }
   }
@@ -151,44 +158,89 @@ class FullTraceReference {
                            std::uint64_t base,
                            std::span<const int> cars) const {
     const auto origin = static_cast<std::size_t>(origin_lap);
+    const auto h_count = static_cast<std::size_t>(horizon);
+    const auto s_count = static_cast<std::size_t>(samples);
     const std::size_t step = model_->trace_step_size();
     const std::size_t td = model_->config().target_dim;
+    const std::size_t dim = config_.dim();
+    const std::size_t tail =
+        pit_ != nullptr && config_.shift_features
+            ? std::min<std::size_t>(static_cast<std::size_t>(config_.shift),
+                                    origin - 2)
+            : 0;
+
+    // Sample s's status rows of laps origin - tail + 1 .. origin + horizon
+    // for every car of the field, in field order.
+    std::vector<int> field;
+    std::vector<double> status;
+    std::size_t status_size = 0;
+    if (pit_ != nullptr) {
+      std::vector<core::StatusSampler::Car> sampler_cars;
+      for (const auto& [car_id, car] : cars_) {
+        if (car.history.size() < origin) continue;
+        field.push_back(car_id);
+        sampler_cars.push_back({&car.streams, car.history[origin - 1]});
+      }
+      core::StatusSampler sampler(*pit_, config_, sampler_cars, origin,
+                                  h_count, origin - tail);
+      status_size = sampler.sample_size();
+      status.resize(s_count * status_size);
+      for (std::size_t s = 0; s < s_count; ++s) {
+        util::Rng rng = util::Rng::stream(base, s, 0);
+        sampler.sample(rng, std::span<double>(status).subspan(
+                                s * status_size, status_size));
+      }
+    }
+
     std::vector<std::span<const double>> steps;
-    std::vector<std::vector<double>> z_prev;
-    std::vector<std::vector<std::vector<double>>> future_covs;
+    std::vector<std::span<const double>> covs;
+    std::vector<double> z;
     std::vector<int> car_index;
     std::vector<util::Rng> row_rngs;
     for (const int car_id : cars) {
       const Car& car = cars_.at(car_id);
-      for (int s = 0; s < samples; ++s) {
+      const std::size_t i = static_cast<std::size_t>(
+          std::find(field.begin(), field.end(), car_id) - field.begin());
+      for (std::size_t s = 0; s < s_count; ++s) {
         steps.push_back(std::span<const double>(car.trace).subspan(
-            (origin - 2) * step, step));
-        std::vector<double> z{car.history[origin - 1]};
-        const auto& aux = car.covariates[origin - 1];
-        for (std::size_t j = 1; j < td; ++j) {
-          z.push_back(j - 1 < aux.size() ? aux[j - 1] : 0.0);
+            (origin - 2 - tail) * step, step));
+        if (pit_ != nullptr) {
+          const std::size_t window = tail + h_count;
+          covs.push_back(std::span<const double>(status).subspan(
+              s * status_size + i * window * dim, window * dim));
+        } else {
+          covs.push_back(
+              std::span<const double>(car.covariates).subspan(origin * dim));
         }
-        z_prev.push_back(std::move(z));
-        auto& fc = future_covs.emplace_back();
-        for (int h = 0; h < horizon; ++h) {
-          const std::size_t lap = origin + static_cast<std::size_t>(h);
-          fc.push_back(lap < car.covariates.size()
-                           ? car.covariates[lap]
-                           : std::vector<double>(config_.dim(), 0.0));
+        z.push_back(car.history[origin - 1]);
+        for (std::size_t j = 1; j < td; ++j) {
+          z.push_back(j - 1 < dim
+                          ? car.covariates[(origin - 1) * dim + j - 1]
+                          : 0.0);
         }
         car_index.push_back(car.index);
         row_rngs.push_back(util::Rng::stream(
-            base, static_cast<std::uint64_t>(car_id),
-            static_cast<std::uint64_t>(s) + 1));
+            base, static_cast<std::uint64_t>(car_id), s + 1));
       }
     }
     auto state = model_->state_from_trace(steps);
-    const auto out = model_->sample_forward(state, z_prev, future_covs,
-                                            car_index, horizon, row_rngs);
+    if (tail > 0) {
+      // Tail step t replays lap origin - tail + t: z of the lap before.
+      std::vector<double> tail_z;
+      for (std::size_t t = 0; t < tail; ++t) {
+        for (const int car_id : cars) {
+          tail_z.insert(tail_z.end(), s_count,
+                        cars_.at(car_id).history[origin - tail + t - 1]);
+        }
+      }
+      model_->advance(state, {covs, dim, tail_z, car_index}, tail);
+      for (auto& cov : covs) cov = cov.subspan(tail * dim);
+    }
+    const auto out = model_->sample_forward(
+        state, {covs, dim, z, car_index}, horizon, row_rngs);
     core::RaceSamples result;
     for (std::size_t c = 0; c < cars.size(); ++c) {
-      tensor::Matrix m(static_cast<std::size_t>(samples),
-                       static_cast<std::size_t>(horizon));
+      tensor::Matrix m(s_count, h_count);
       for (std::size_t r = 0; r < m.rows(); ++r) {
         for (std::size_t h = 0; h < m.cols(); ++h) {
           m(r, h) = out(c * m.rows() + r, h);
@@ -203,11 +255,13 @@ class FullTraceReference {
   struct Car {
     int index = 0;
     std::vector<double> history;
-    std::vector<std::vector<double>> covariates;
+    features::StatusStreams streams;
+    std::vector<double> covariates;  // one row per lap, back to back
     std::vector<double> trace;
   };
   std::shared_ptr<const core::LstmSeqModel> model_;
   features::CovariateConfig config_;
+  std::shared_ptr<const core::PitModel> pit_;
   std::map<int, Car> cars_;
 };
 
@@ -735,10 +789,10 @@ TEST_F(ForecastContext, EngineThreadsAndConcurrentCallersMatchFreshWholeField) {
 
 TEST_F(ForecastContext, CheckpointReplayMatchesFullTraceAtEveryOrigin) {
   // Every origin of a ragged 40-lap race, so forecasts start on, just
-  // before and just after each kept trace step. The Oracle decodes equal a
-  // reference decoded from the full batch-1 traces; the PitModel decode
-  // tree (its tail replay starts two steps earlier) equals independent
-  // decode. Each origin is forecast on the log and then on a corrected
+  // before and just after each kept trace step. The Oracle and PitModel
+  // decodes (the PitModel tail replay starts two steps earlier), tree and
+  // independent alike, equal a reference decoded from the full batch-1
+  // traces. Each origin is forecast on the log and then on a corrected
   // copy under the same id, so a step replayed over one log must not be
   // read for the other.
   const auto ragged = RaggedPrefix(*race_);
@@ -757,6 +811,11 @@ TEST_F(ForecastContext, CheckpointReplayMatchesFullTraceAtEveryOrigin) {
                                             features::CovariateConfig{});
   const FullTraceReference corrected_reference(model_, corrected, *vocab_,
                                                features::CovariateConfig{});
+  const FullTraceReference ragged_pit_reference(
+      model_, ragged, *vocab_, features::CovariateConfig{}, PitsEveryFewLaps());
+  const FullTraceReference corrected_pit_reference(
+      model_, corrected, *vocab_, features::CovariateConfig{},
+      PitsEveryFewLaps());
   const auto tree = Make();
   tree->set_decode_mode(core::DecodeMode::kTree);
   const auto independent = Make();
@@ -782,15 +841,20 @@ TEST_F(ForecastContext, CheckpointReplayMatchesFullTraceAtEveryOrigin) {
             << (mode == core::DecodeMode::kTree) << " corrected "
             << (log == &corrected);
       }
+      const auto& pit_reference =
+          log == &ragged ? ragged_pit_reference : corrected_pit_reference;
       const auto pit_cars = tree->forecast_cars(*log, origin);
-      const auto got = tree->forecast_partition(*log, origin, kHorizon,
-                                                kSamples, base, pit_cars);
-      EXPECT_FALSE(got.empty());
-      EXPECT_TRUE(SamplesIdentical(
-          got, independent->forecast_partition(*log, origin, kHorizon,
-                                               kSamples, base, pit_cars)))
-          << "pit model origin " << origin << " corrected "
-          << (log == &corrected);
+      const auto pit_want =
+          pit_reference.decode(origin, kHorizon, kSamples, base, pit_cars);
+      EXPECT_FALSE(pit_want.empty());
+      for (auto* f : {tree.get(), independent.get()}) {
+        EXPECT_TRUE(SamplesIdentical(
+            f->forecast_partition(*log, origin, kHorizon, kSamples, base,
+                                  pit_cars),
+            pit_want))
+            << "pit model origin " << origin << " tree "
+            << (f == tree.get()) << " corrected " << (log == &corrected);
+      }
     }
   }
 }
