@@ -198,10 +198,12 @@ std::vector<features::SeqExample> bench_windows(std::size_t count,
   for (auto& ex : out) {
     ex.car_index = static_cast<int>(rng.uniform_int(0, 39));
     ex.target.resize(window);
-    ex.covariates.assign(window, std::vector<double>(9));
+    ex.covariates.resize(window * 9);
     for (std::size_t t = 0; t < window; ++t) {
       ex.target[t] = rng.uniform(1, 33);
-      for (auto& c : ex.covariates[t]) c = rng.uniform(0, 1);
+      for (std::size_t c = 0; c < 9; ++c) {
+        ex.covariates[t * 9 + c] = rng.uniform(0, 1);
+      }
     }
   }
   return out;

@@ -38,12 +38,15 @@ std::vector<double> rollout_with_plan(
                              streams.laps()) {
     streams.lap_status[o + static_cast<std::size_t>(pit_in_laps) - 1] = 1.0;
   }
+  const std::size_t dim = bundle.wcfg.covariates.dim();
   const auto covs =
       features::build_covariates(streams, bundle.wcfg.covariates);
 
   // Prime the LSTM on the true history, then sample forward under the plan.
-  const auto trace =
-      model.trace_flat(car.rank, covs, bundle.vocab.index(car_id));
+  const std::span<const double> history(car.rank), cov_block(covs);
+  const int index = bundle.vocab.index(car_id);
+  const auto trace = model.trace_checkpoints({&history, 1}, {&cov_block, 1},
+                                             dim, {&index, 1}, 1)[0];
   const std::size_t step = model.trace_step_size();
   const std::vector<std::span<const double>> start(
       static_cast<std::size_t>(samples),
@@ -51,17 +54,13 @@ std::vector<double> rollout_with_plan(
   auto state = model.state_from_trace(start);
   // Every sample reads the planned rows from lap o + 1 on, in place; the
   // decode reads zeros past the end of the log.
-  std::vector<double> future;
-  for (std::size_t t = o; t < covs.size(); ++t) {
-    future.insert(future.end(), covs[t].begin(), covs[t].end());
-  }
   const auto n = static_cast<std::size_t>(samples);
-  const std::vector<std::span<const double>> future_rows(n, future);
+  const std::vector<std::span<const double>> future_rows(
+      n, cov_block.subspan(o * dim));
   const std::vector<double> z(n, car.rank[o - 1]);
-  const std::vector<int> car_idx(n, bundle.vocab.index(car_id));
-  const auto out = model.sample_forward(
-      state, {future_rows, bundle.wcfg.covariates.dim(), z, car_idx}, horizon,
-      rng);
+  const std::vector<int> car_idx(n, index);
+  const auto out =
+      model.sample_forward(state, {future_rows, dim, z, car_idx}, horizon, rng);
   std::vector<double> final_ranks;
   for (std::size_t s = 0; s < out.rows(); ++s) {
     final_ranks.push_back(out(s, out.cols() - 1));

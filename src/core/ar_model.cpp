@@ -17,6 +17,14 @@ constexpr double kMaxRankFeedback = 45.0;
 
 }  // namespace
 
+void write_target(double rank, std::span<const double> cov_row,
+                  std::span<double> z) {
+  z[0] = rank;
+  for (std::size_t j = 1; j < z.size(); ++j) {
+    z[j] = j - 1 < cov_row.size() ? cov_row[j - 1] : 0.0;
+  }
+}
+
 std::string SeqModelConfig::cache_key() const {
   return util::format("lstm-c%zu-t%zu-h%zu-l%zu-e%zu-v%d-s%llu", cov_dim,
                       target_dim, hidden, num_layers, embed_dim, vocab,
@@ -85,27 +93,28 @@ LstmSeqModel::Batch LstmSeqModel::pack_examples(
     if (ex.target.size() != window) {
       throw std::invalid_argument("make_batch: ragged windows");
     }
+    const std::size_t width = ex.covariates.size() / window;
+    if (ex.covariates.size() != window * width || width < cov_dim) {
+      throw std::invalid_argument(
+          "make_batch: covariates are not one row of cov_dim or more per lap");
+    }
+    const auto cov_row = [&](std::size_t t) {
+      return std::span<const double>(ex.covariates).subspan(t * width, width);
+    };
     b.car_index[e] = ex.car_index;
     for (std::size_t t = 0; t < steps; ++t) {
-      auto row = b.xs_base[t].row(e);
-      // Lagged target z_t (dim 0 is the scaled rank). For multivariate
-      // targets (Joint), dims 1.. are the raw auxiliary statuses at lap t,
-      // taken from the leading covariate slots of the window builder.
-      row[0] = scaler.transform(ex.target[t]);
-      for (std::size_t j = 1; j < target_dim; ++j) {
-        row[j] = ex.covariates[t][j - 1];
-      }
-      for (std::size_t c = 0; c < cov_dim; ++c) {
-        row[target_dim + c] = ex.covariates[t + 1][c];
-      }
+      // Lagged target z_t (dim 0 is the scaled rank), then lap t + 1's
+      // covariates.
+      const auto row = b.xs_base[t].row(e);
+      write_target(scaler.transform(ex.target[t]), cov_row(t),
+                   row.first(target_dim));
+      std::copy_n(cov_row(t + 1).data(), cov_dim, row.data() + target_dim);
     }
     for (std::size_t d = 0; d < dec_len; ++d) {
       const std::size_t lap = window - dec_len + d;  // target lap index
       const std::size_t out_row = d * batch + e;
-      b.z_dec(out_row, 0) = scaler.transform(ex.target[lap]);
-      for (std::size_t j = 1; j < target_dim; ++j) {
-        b.z_dec(out_row, j) = ex.covariates[lap][j - 1];
-      }
+      write_target(scaler.transform(ex.target[lap]), cov_row(lap),
+                   b.z_dec.row(out_row));
       b.weights[out_row] = ex.weight;
     }
   }
@@ -304,27 +313,23 @@ void LstmSeqModel::decode_steps(Stack& stack, const SeqInputs& in,
   }
 }
 
-std::vector<double> LstmSeqModel::trace_flat(
-    const std::vector<double>& history,
-    const std::vector<std::vector<double>>& covs, int car_index) const {
-  return std::move(
-      trace_checkpoints({&history, 1}, {&covs, 1}, {&car_index, 1}, 1)[0]);
-}
-
 std::vector<std::vector<double>> LstmSeqModel::trace_checkpoints(
-    std::span<const std::vector<double>> history,
-    std::span<const std::vector<std::vector<double>>> covs,
+    std::span<const std::span<const double>> history,
+    std::span<const std::span<const double>> covs, std::size_t cov_width,
     std::span<const int> car_index, std::size_t every) const {
   if (every == 0) throw std::invalid_argument("trace_checkpoints: every == 0");
   const std::size_t rows = history.size();
-  std::vector<std::vector<double>> out(rows);
-  if (rows == 0) return out;
-  const std::size_t laps = history[0].size();
-  for (const auto& h : history) {
-    if (h.size() != laps) {
-      throw std::invalid_argument("trace: ragged history");
-    }
+  const std::size_t laps = rows == 0 ? 0 : history[0].size();
+  bool shaped = covs.size() == rows && car_index.size() == rows;
+  for (std::size_t r = 0; shaped && r < rows; ++r) {
+    shaped = history[r].size() == laps && covs[r].size() == laps * cov_width;
   }
+  if (!shaped) {
+    throw std::invalid_argument(
+        "trace_checkpoints: not T targets, one T x cov_width covariate block "
+        "and one car index per row");
+  }
+  std::vector<std::vector<double>> out(rows);
   if (laps < 2) return out;
   const std::size_t kept = (laps - 2) / every + 1;
   for (auto& buffer : out) buffer.reserve(kept * trace_step_size());
@@ -334,27 +339,13 @@ std::vector<std::vector<double>> LstmSeqModel::trace_checkpoints(
   auto stack = make_stack(car_index, ws);
   const std::size_t td = config_.target_dim;
   tensor::MatrixView z = ws.take(rows, td);
-  // Step t reads lap t + 1's covariate row; a row narrower than cov_dim
-  // is zero-filled.
-  std::vector<std::span<const double>> cov_rows(rows);
-  const SeqInputs in{cov_rows, covs[0][1].size(), {}, car_index};
+  const SeqInputs in{covs, cov_width, {}, car_index};
   for (std::size_t t = 0; t + 1 < laps; ++t) {
     for (std::size_t r = 0; r < rows; ++r) {
-      // Multivariate targets carry their aux dims in the leading
-      // covariates of the same lap (as make_batch does), zero-filled past
-      // the row: a multivariate model over a thin covariate config must
-      // not read past it.
-      const auto& aux = covs[r][t];
-      z(r, 0) = history[r][t];
-      for (std::size_t j = 1; j < td; ++j) {
-        z(r, j) = j - 1 < aux.size() ? aux[j - 1] : 0.0;
-      }
-      cov_rows[r] = covs[r][t + 1];
-      if (cov_rows[r].size() != in.cov_width) {
-        throw std::invalid_argument("trace: covariate rows of unequal width");
-      }
+      write_target(history[r][t], covs[r].subspan(t * cov_width, cov_width),
+                   z.row(r));
     }
-    step(stack, z.data(), in, 0);
+    step(stack, z.data(), in, t + 1);  // reads lap t + 1's row
     if (t % every != 0) continue;
     for (std::size_t r = 0; r < rows; ++r) {
       for (const auto& layer : stack.layers) {

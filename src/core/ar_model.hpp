@@ -46,6 +46,12 @@ struct SeqModelConfig {
   std::string cache_key() const;
 };
 
+/// Write one lap's lagged target vector (target_dim values) to z: `rank`,
+/// then a multivariate target's aux dims (RankNet-Joint), the leading
+/// covariates of the same lap's row, zero past the row's width.
+void write_target(double rank, std::span<const double> cov_row,
+                  std::span<double> z);
+
 class LstmSeqModel : public nn::Layer {
  public:
   explicit LstmSeqModel(SeqModelConfig config);
@@ -94,28 +100,22 @@ class LstmSeqModel : public nn::Layer {
   /// LSTM states (one per layer) for a batch of sequences.
   using StackState = std::vector<nn::LstmState>;
 
-  /// Consume an observed prefix of one sequence: history holds its raw
-  /// (unscaled) targets z_1..z_T, covs[t] the covariate vector of lap t+1
-  /// (0-based). Step t of the result is the state after consuming input
-  /// [z_t, x_{t+1}], i.e. the state from which lap t+2 would be predicted
-  /// (T-1 steps). Each step is the slice of trace_step_size() doubles at
-  /// t * trace_step_size(), laid out layer by layer, h then c, `hidden`
-  /// values each.
-  std::vector<double> trace_flat(
-      const std::vector<double>& history,
-      const std::vector<std::vector<double>>& covs, int car_index) const;
+  /// One batched encoder pass over equal-length sequences. Row r reads
+  /// history[r], its raw targets z_1..z_T, and covs[r], its T covariate rows
+  /// back to back, `cov_width` doubles each. Step t is the state after input
+  /// [z_t, x_{t+1}], from which lap t + 2 is predicted (T - 1 steps). out[r]
+  /// keeps steps 0, every, 2 * every, ... back to back, trace_step_size()
+  /// doubles each, layer by layer, h then c. Rows are independent, so a
+  /// row's steps equal its batch-1 trace's bit for bit. Throws
+  /// std::invalid_argument unless each row has T targets, one T x cov_width
+  /// block and one car index.
+  std::vector<std::vector<double>> trace_checkpoints(
+      std::span<const std::span<const double>> history,
+      std::span<const std::span<const double>> covs, std::size_t cov_width,
+      std::span<const int> car_index, std::size_t every) const;
   std::size_t trace_step_size() const {
     return config_.num_layers * 2 * config_.hidden;
   }
-
-  /// One batched trace of equal-length sequences that keeps only every
-  /// `every`-th step: out[r] holds steps 0, every, 2 * every, ... of
-  /// trace_flat(history[r], covs[r], car_index[r]), back to back. Rows are
-  /// independent, so each kept step equals trace_flat's bit for bit.
-  std::vector<std::vector<double>> trace_checkpoints(
-      std::span<const std::vector<double>> history,
-      std::span<const std::vector<std::vector<double>>> covs,
-      std::span<const int> car_index, std::size_t every) const;
 
   /// Decode start state with one row per entry of `steps`, each a flat
   /// trace step (trace_step_size() doubles). A step may appear several

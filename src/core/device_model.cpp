@@ -58,10 +58,12 @@ Workload measure_ranknet_workload(std::size_t batch_size, int reps) {
   for (auto& ex : examples) {
     ex.car_index = static_cast<int>(rng.uniform_int(0, 39));
     ex.target.resize(window);
-    ex.covariates.assign(window, std::vector<double>(config.cov_dim));
+    ex.covariates.resize(window * config.cov_dim);
     for (std::size_t t = 0; t < window; ++t) {
       ex.target[t] = rng.uniform(1.0, 33.0);
-      for (auto& c : ex.covariates[t]) c = rng.uniform(0.0, 1.0);
+      for (std::size_t c = 0; c < config.cov_dim; ++c) {
+        ex.covariates[t * config.cov_dim + c] = rng.uniform(0.0, 1.0);
+      }
     }
   }
   std::vector<const features::SeqExample*> ptrs;

@@ -131,6 +131,18 @@ std::shared_ptr<Slot> find_or_add_slot(
   return slots.back();
 }
 
+/// A decode's (car, sample) rows, car-major, as each car's samples.
+RaceSamples split_by_car(const tensor::Matrix& out, std::span<const int> cars,
+                         std::size_t samples) {
+  RaceSamples result;
+  for (std::size_t c = 0; c < cars.size(); ++c) {
+    tensor::Matrix m(samples, out.cols());
+    std::copy_n(out.data() + c * m.size(), m.size(), m.data());
+    result.emplace(cars[c], std::move(m));
+  }
+  return result;
+}
+
 /// Encoder-state bytes a race cache holds.
 template <typename RaceCache>
 double held_bytes(const RaceCache& rc) {
@@ -160,26 +172,26 @@ const RankNetForecaster::RaceCache& RankNetForecaster::race_cache(
     by_laps[car.laps()].push_back(car_id);
     rc.cars.emplace(car_id, std::move(cc));
   }
-  // Cars of equal length trace as one batch; rows are independent, so
-  // each car's checkpoints are those of its own batch-1 trace.
+  // Cars of equal length trace as one batch, read in place from their
+  // cache entries; rows are independent, so each car's checkpoints are
+  // those of its own batch-1 trace.
   for (const auto& [laps, ids] : by_laps) {
-    std::vector<std::vector<double>> history;
-    std::vector<std::vector<std::vector<double>>> covs;
+    std::vector<std::span<const double>> history, covs;
     std::vector<int> index;
     for (int car_id : ids) {
-      const auto& cc = rc.cars.at(car_id);
+      auto& cc = rc.cars.at(car_id);
+      cc.covariates = features::build_covariates(cc.streams, cov_config_);
       history.push_back(cc.history);
-      covs.push_back(features::build_covariates(cc.streams, cov_config_));
+      covs.push_back(cc.covariates);
       index.push_back(vocab_.index(car_id));
     }
-    auto traces =
-        model_->trace_checkpoints(history, covs, index, kTraceEvery);
+    auto traces = model_->trace_checkpoints(history, covs, cov_config_.dim(),
+                                            index, kTraceEvery);
     for (std::size_t i = 0; i < ids.size(); ++i) {
       auto& cc = rc.cars.at(ids[i]);
       cc.trace = std::move(traces[i]);
-      if (source_ == StatusSource::kPitModel) continue;
-      for (const auto& row : covs[i]) {
-        cc.covariates.insert(cc.covariates.end(), row.begin(), row.end());
+      if (source_ == StatusSource::kPitModel) {
+        cc.covariates = std::vector<double>();
       }
     }
   }
@@ -302,8 +314,7 @@ RankNetForecaster::replayed_step(const RaceCache& rc, std::size_t step) {
     car_index.push_back(vocab_.index(car_id));
   }
   // Per car its rows checkpoint + 1 .. step + 1: step t reads row t + 1,
-  // and a multivariate target the aux dims in the leading covariates of
-  // row t, zero-filled past the row.
+  // and its target (write_target) row t.
   const std::size_t td = model_->config().target_dim;
   const std::size_t dim = cov_config_.dim();
   const std::size_t n = cars.size();
@@ -321,11 +332,8 @@ RankNetForecaster::replayed_step(const RaceCache& rc, std::size_t step) {
     }
     covs[c] = {car_rows + dim, steps * dim};
     for (std::size_t t = 0; t < steps; ++t) {
-      double* zt = z.data() + (t * n + c) * td;
-      zt[0] = cc.history[checkpoint + 1 + t];
-      for (std::size_t j = 1; j < td; ++j) {
-        zt[j] = j - 1 < dim ? car_rows[t * dim + j - 1] : 0.0;
-      }
+      write_target(cc.history[checkpoint + 1 + t], {car_rows + t * dim, dim},
+                   {z.data() + (t * n + c) * td, td});
     }
   }
   auto state = model_->state_from_trace(starts);
@@ -353,7 +361,7 @@ RaceSamples RankNetForecaster::forecast(const telemetry::RaceLog& race,
 
 RaceSamples RankNetForecaster::forecast_partition(
     const telemetry::RaceLog& race, int origin_lap, int horizon,
-    int num_samples, std::uint64_t base, std::span<const int> cars_span) {
+    int num_samples, std::uint64_t base, std::span<const int> cars) {
   if (origin_lap < 2 || horizon < 1 || num_samples < 1) {
     throw std::invalid_argument("RankNetForecaster::forecast: bad arguments");
   }
@@ -367,7 +375,6 @@ RaceSamples RankNetForecaster::forecast_partition(
   const auto h_count = static_cast<std::size_t>(horizon);
   const auto s_count = static_cast<std::size_t>(num_samples);
 
-  const std::vector<int> cars(cars_span.begin(), cars_span.end());
   if (cars.empty()) return {};
 
   // Encoder-tail correction: with predicted status, the shift features of
@@ -433,11 +440,18 @@ RaceSamples RankNetForecaster::forecast_partition(
       }
       i = static_cast<std::size_t>(it - ctx->cars.begin());
     }
+    // The origin lap's target (write_target): a ground-truth source reads
+    // a multivariate target's aux dims from the origin lap's row; sampled
+    // rows carry none, so they read zero.
+    const auto origin_row =
+        ctx != nullptr ? std::span<const double>()
+                       : std::span<const double>(cc.covariates)
+                             .subspan((origin - 1) * dim, dim);
     for (std::size_t s = 0; s < s_count; ++s) {
       const std::size_t row = c * s_count + s;
       car_index[row] = vocab_.index(car_id);
-      double* zr = z.data() + row * td;
-      zr[0] = cc.history[origin - 1];
+      write_target(cc.history[origin - 1], origin_row,
+                   {z.data() + row * td, td});
       if (ctx != nullptr) {
         // The sampled rows of laps origin - tail + 1 .. origin + horizon.
         const std::size_t window = tail_n + h_count;
@@ -445,14 +459,9 @@ RaceSamples RankNetForecaster::forecast_partition(
             (s * ctx->cars.size() + i) * window * dim, window * dim);
       } else {
         // Ground-truth rows from lap origin + 1 on; rows past the car's log
-        // read zeros. A multivariate target's aux dims (Joint) are the
-        // leading covariates of the origin lap, zero-filled past the row.
+        // read zeros.
         covs[row] =
             std::span<const double>(cc.covariates).subspan(origin * dim);
-        for (std::size_t j = 1; j < td; ++j) {
-          zr[j] = j - 1 < dim ? cc.covariates[(origin - 1) * dim + j - 1]
-                              : 0.0;
-        }
       }
     }
   }
@@ -552,17 +561,7 @@ RaceSamples RankNetForecaster::forecast_partition(
                                  row_rngs);
   }
 
-  RaceSamples samples;
-  for (std::size_t c = 0; c < cars.size(); ++c) {
-    tensor::Matrix m(s_count, h_count);
-    for (std::size_t s = 0; s < s_count; ++s) {
-      for (std::size_t h = 0; h < h_count; ++h) {
-        m(s, h) = out(c * s_count + s, h);
-      }
-    }
-    samples.emplace(cars[c], std::move(m));
-  }
-  return samples;
+  return split_by_car(out, cars, s_count);
 }
 
 TransformerForecaster::TransformerForecaster(
@@ -626,70 +625,49 @@ RaceSamples TransformerForecaster::forecast(const telemetry::RaceLog& race,
       std::min<std::size_t>(model_->config().infer_context, origin);
   const std::size_t first_lap = origin - ctx;  // 0-based index of first lap
 
+  // Per (car, sample) row, read in place: the car's last ctx ranks and its
+  // covariate rows from the first context lap on, `dim` doubles each.
+  const std::size_t dim = cov_config_.dim();
   const std::size_t rows = cars.size() * s_count;
   std::vector<int> car_index(rows);
-  std::vector<std::vector<double>> history(rows);
-  std::vector<std::vector<std::vector<double>>> covs(rows);
-
-  // cov_row(t) is the covariate row of 0-based lap first_lap + t.
-  const auto fill_row = [&](std::size_t row, int car_id, const auto& cov_row) {
-    const auto& ranks = rc.cars.at(car_id).history;
-    car_index[row] = vocab_.index(car_id);
-    history[row].assign(ranks.begin() + static_cast<std::ptrdiff_t>(first_lap),
-                        ranks.begin() + static_cast<std::ptrdiff_t>(origin));
-    auto& cv = covs[row];
-    cv.resize(ctx + h_count);
-    for (std::size_t t = 0; t < ctx + h_count; ++t) {
-      const std::span<const double> r = cov_row(t);
-      cv[t].assign(r.begin(), r.end());
-    }
-  };
-
-  const std::size_t dim = cov_config_.dim();
+  std::vector<std::span<const double>> history(rows), covs(rows);
+  // kPitModel: every sample's realization, car c's rows of sample s at
+  // (s * cars + c) * car_size.
+  const std::size_t car_size = (ctx + h_count) * dim;
+  std::vector<double> realizations;
   if (source_ == StatusSource::kPitModel) {
     // Only the context window and the horizon are read: the realization
-    // starts at the first context lap.
+    // starts at the first context lap. Samples draw in order from `rng`.
     StatusSampler sampler(*pit_model_, cov_config_,
                           sampler_cars(rc, cars, origin), origin, h_count,
                           first_lap);
-    std::vector<double> realization(sampler.sample_size());
+    const std::size_t size = sampler.sample_size();
+    realizations.resize(s_count * size);
     for (std::size_t s = 0; s < s_count; ++s) {
-      sampler.sample(rng, realization);
-      for (std::size_t c = 0; c < cars.size(); ++c) {
-        fill_row(c * s_count + s, cars[c], [&](std::size_t t) {
-          return std::span<const double>(
-              realization.data() + (c * sampler.rows() + t) * dim, dim);
-        });
-      }
+      sampler.sample(rng, std::span<double>(realizations).subspan(s * size,
+                                                                  size));
     }
-  } else {
-    const std::vector<double> zeros(dim, 0.0);
-    for (std::size_t c = 0; c < cars.size(); ++c) {
-      const auto& covariates = rc.cars.at(cars[c]).covariates;
-      const auto cov_row = [&](std::size_t t) {
-        const std::size_t k = first_lap + t;
-        return std::span<const double>(k < covariates.size() ? covariates[k]
-                                                             : zeros);
-      };
-      for (std::size_t s = 0; s < s_count; ++s) {
-        fill_row(c * s_count + s, cars[c], cov_row);
-      }
+  }
+  for (std::size_t c = 0; c < cars.size(); ++c) {
+    const auto& cc = rc.cars.at(cars[c]);
+    for (std::size_t s = 0; s < s_count; ++s) {
+      const std::size_t row = c * s_count + s;
+      car_index[row] = vocab_.index(cars[c]);
+      history[row] = std::span<const double>(cc.history).subspan(first_lap,
+                                                                 ctx);
+      // Ground-truth rows past the car's log read zeros.
+      covs[row] = source_ == StatusSource::kPitModel
+                      ? std::span<const double>(realizations)
+                            .subspan((s * cars.size() + c) * car_size,
+                                     car_size)
+                      : std::span<const double>(cc.covariates)
+                            .subspan(first_lap * dim);
     }
   }
 
-  const auto out = model_->sample_forecast(history, covs, car_index, horizon,
-                                           rng);
-  RaceSamples samples;
-  for (std::size_t c = 0; c < cars.size(); ++c) {
-    tensor::Matrix m(s_count, h_count);
-    for (std::size_t s = 0; s < s_count; ++s) {
-      for (std::size_t h = 0; h < h_count; ++h) {
-        m(s, h) = out(c * s_count + s, h);
-      }
-    }
-    samples.emplace(cars[c], std::move(m));
-  }
-  return samples;
+  const auto out =
+      model_->sample_forecast(history, covs, dim, car_index, horizon, rng);
+  return split_by_car(out, cars, s_count);
 }
 
 }  // namespace ranknet::core

@@ -104,14 +104,14 @@ class RankNetForecaster : public RaceForecaster,
   struct CarCache {
     std::vector<double> history;  // observed ranks
     features::StatusStreams streams;
-    /// Ground-truth covariate rows, one per lap, cov_config.dim() values
-    /// each, back to back: the Oracle, Joint and DeepAR decode read them in
-    /// place. kPitModel decodes against sampled rows only, so it keeps
-    /// none; a checkpoint replay rebuilds the few rows it needs from
-    /// `streams`.
+    /// The log's covariate block (features::build_covariates): the
+    /// Oracle, Joint and DeepAR decode read its rows in place. kPitModel
+    /// decodes against sampled rows only, so it drops the block once the
+    /// trace has read it; a checkpoint replay rebuilds the few rows it needs
+    /// from `streams`.
     std::vector<double> covariates;
-    /// Steps 0, K, 2K, ... of LstmSeqModel::trace_flat of the log (K =
-    /// kTraceEvery in ranknet.cpp), back to back: trace_checkpoints' layout.
+    /// Steps 0, K, 2K, ... of the log's encoder trace (K = kTraceEvery in
+    /// ranknet.cpp), back to back: trace_checkpoints' layout.
     std::vector<double> trace;
   };
   /// Per-race caches are keyed on the race id and hold the content digest
@@ -208,7 +208,7 @@ class TransformerForecaster : public RaceForecaster {
   struct CarCache {
     std::vector<double> history;
     features::StatusStreams streams;
-    std::vector<std::vector<double>> covariates;  // empty under kPitModel
+    std::vector<double> covariates;  // build_covariates; empty for kPitModel
   };
   struct RaceCache {
     std::uint64_t digest = 0;  // RaceLog::digest of the log it was built from

@@ -185,28 +185,27 @@ double TransformerSeqModel::evaluate(const Batch& batch) {
 }
 
 tensor::Matrix TransformerSeqModel::sample_forecast(
-    const std::vector<std::vector<double>>& history,
-    const std::vector<std::vector<std::vector<double>>>& covs,
-    const std::vector<int>& car_index, int horizon, util::Rng& rng) const {
+    std::span<const std::span<const double>> history,
+    std::span<const std::span<const double>> covs, std::size_t cov_width,
+    std::span<const int> car_index, int horizon, util::Rng& rng) const {
   const std::size_t rows = history.size();
-  if (rows == 0) return {};
-  const std::size_t ctx = history[0].size();
-  const auto h_count = static_cast<std::size_t>(horizon);
-  for (std::size_t r = 0; r < rows; ++r) {
-    if (history[r].size() != ctx || covs[r].size() != ctx + h_count) {
-      throw std::invalid_argument("sample_forecast: ragged inputs");
-    }
+  const std::size_t ctx = rows == 0 ? 0 : history[0].size();
+  if (covs.size() != rows || car_index.size() != rows ||
+      std::any_of(history.begin(), history.end(),
+                  [&](const auto& h) { return h.size() != ctx; })) {
+    throw std::invalid_argument(
+        "sample_forecast: not C ranks, one covs span and one car per row");
   }
+  if (rows == 0) return {};
+  const auto h_count = static_cast<std::size_t>(horizon);
 
   tensor::Matrix embed(rows, config_.embed_dim);
   if (embedding_ != nullptr) {
     embed = embedding_->forward_inference(car_index);
   }
 
-  // Rolling raw-rank sequence per row; grows by one each sampled step.
-  std::vector<std::vector<double>> z(rows);
-  for (std::size_t r = 0; r < rows; ++r) z[r] = history[r];
-
+  // Row r's raw ranks: position t < ctx is history[r][t], later positions
+  // the ranks sampled so far, out(r, t - ctx).
   tensor::Matrix out(rows, h_count);
 
   // Positional encoding cache (deterministic values, same as run_stack's).
@@ -229,15 +228,20 @@ tensor::Matrix TransformerSeqModel::sample_forecast(
     ws.begin();
     tensor::MatrixView packed = ws.take(n, config_.input_dim());
     const std::size_t base_dim = config_.target_dim + config_.cov_dim;
+    const std::size_t width = std::min(config_.cov_dim, cov_width);
     for (std::size_t r = 0; r < rows; ++r) {
       for (std::size_t t = 0; t < steps; ++t) {
         const std::size_t row = r * steps + t;
-        packed(row, 0) = scaler_.transform(z[r][t]);
-        for (std::size_t c = 0; c < config_.cov_dim; ++c) {
-          packed(row, config_.target_dim + c) = covs[r][t + 1][c];
+        double* x = packed.row(row).data();
+        x[0] = scaler_.transform(t < ctx ? history[r][t] : out(r, t - ctx));
+        // Position t reads the covariate row of lap t + 1 of the window.
+        double* cov = x + config_.target_dim;
+        if ((t + 2) * cov_width <= covs[r].size()) {
+          cov = std::copy_n(covs[r].data() + (t + 1) * cov_width, width, cov);
         }
+        std::fill(cov, x + base_dim, 0.0);
         for (std::size_t c = 0; c < config_.embed_dim; ++c) {
-          packed(row, base_dim + c) = embed(r, c);
+          x[base_dim + c] = embed(r, c);
         }
       }
     }
@@ -274,7 +278,6 @@ tensor::Matrix TransformerSeqModel::sample_forecast(
       const double rank = std::clamp(scaler_.inverse(sample(r, 0)),
                                      kMinRankFeedback, kMaxRankFeedback);
       out(r, h - 1) = rank;
-      z[r].push_back(rank);
     }
   }
   return out;

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -51,14 +52,17 @@ class TransformerSeqModel : public nn::Layer {
   double train_step(const Batch& batch);
   double evaluate(const Batch& batch);
 
-  /// Ancestral sampling over a sliding context window. history[r] holds the
-  /// last C observed raw ranks of row r (C = infer_context, shorter is
-  /// fine); covs[r] holds covariate rows for those C laps plus the horizon
-  /// (length C + horizon). Returns (rows x horizon) sampled rank values.
+  /// Ancestral sampling over a sliding context window, inputs read in place
+  /// as in LstmSeqModel::SeqInputs. history[r]: the last C raw ranks of row
+  /// r (C = infer_context, shorter is fine, equal for every row). covs[r]:
+  /// the covariate rows of those C laps and the horizon, `cov_width` doubles
+  /// each; rows past its end and inputs past a narrow row's width read
+  /// zeros. Throws std::invalid_argument unless there is one covs span and
+  /// one car index per row. Returns (rows x horizon) sampled rank values.
   tensor::Matrix sample_forecast(
-      const std::vector<std::vector<double>>& history,
-      const std::vector<std::vector<std::vector<double>>>& covs,
-      const std::vector<int>& car_index, int horizon, util::Rng& rng) const;
+      std::span<const std::span<const double>> history,
+      std::span<const std::span<const double>> covs, std::size_t cov_width,
+      std::span<const int> car_index, int horizon, util::Rng& rng) const;
 
   std::vector<nn::Parameter*> params() override;
 

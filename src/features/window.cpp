@@ -83,17 +83,16 @@ void write_covariate_row(const StatusStreams& streams, std::size_t t,
   }
 }
 
-std::vector<std::vector<double>> build_covariates(
-    const StatusStreams& streams, const CovariateConfig& config,
-    AgeState start) {
-  const std::size_t n = streams.laps();
-  std::vector<std::vector<double>> out(n);
+std::vector<double> build_covariates(const StatusStreams& streams,
+                                     const CovariateConfig& config,
+                                     AgeState start) {
+  const std::size_t dim = config.dim();
+  std::vector<double> out(streams.laps() * dim);
   // Recompute accumulation features from the (possibly predicted) statuses.
   AgeState ages = start;
-  for (std::size_t t = 0; t < n; ++t) {
+  for (std::size_t t = 0; t < streams.laps(); ++t) {
     ages.advance(streams.lap_status[t] > 0.5, streams.track_status[t] > 0.5);
-    out[t].resize(config.dim());
-    write_covariate_row(streams, t, config, ages, out[t].data());
+    write_covariate_row(streams, t, config, ages, out.data() + t * dim);
   }
   return out;
 }
@@ -123,6 +122,7 @@ std::vector<SeqExample> build_windows(
   const auto enc = static_cast<std::size_t>(config.encoder_length);
   const auto dec = static_cast<std::size_t>(config.decoder_length);
   const auto window = enc + dec;
+  const std::size_t dim = config.covariates.dim();
   for (const auto& race : races) {
     for (int car_id : race.car_ids()) {
       const auto& car = race.car(car_id);
@@ -133,9 +133,9 @@ std::vector<SeqExample> build_windows(
            begin += static_cast<std::size_t>(config.stride)) {
         SeqExample ex;
         ex.car_index = vocab.index(car_id);
-        ex.covariates.assign(covs.begin() + static_cast<std::ptrdiff_t>(begin),
-                             covs.begin() +
-                                 static_cast<std::ptrdiff_t>(begin + window));
+        ex.covariates.assign(
+            covs.begin() + static_cast<std::ptrdiff_t>(begin * dim),
+            covs.begin() + static_cast<std::ptrdiff_t>((begin + window) * dim));
         ex.target.assign(car.rank.begin() + static_cast<std::ptrdiff_t>(begin),
                          car.rank.begin() +
                              static_cast<std::ptrdiff_t>(begin + window));

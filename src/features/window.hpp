@@ -45,23 +45,24 @@ void write_covariate_row(const StatusStreams& streams, std::size_t t,
                          const CovariateConfig& config, const AgeState& ages,
                          double* row);
 
-/// Assemble the covariate vector for every lap in [0, streams.laps()).
-/// Age features are recomputed from the (possibly predicted) statuses, so
-/// the same code path serves training and forecasting.
+/// Assemble the covariate block of the streams: lap t's row (config.dim()
+/// values) at t * config.dim(), for every lap in [0, streams.laps()). Age
+/// features are recomputed from the (possibly predicted) statuses, so the
+/// same code path serves training and forecasting.
 ///
 /// `streams` may also be a window that starts mid-race: `start` is then the
 /// age-feature state after the laps before the window (see
 /// StatusStreams::ages_after), and the rows equal the matching rows of the
 /// full-race build bit for bit. Shift features read ahead inside the
 /// window, so the window must run to the end of the streams.
-std::vector<std::vector<double>> build_covariates(const StatusStreams& streams,
-                                                  const CovariateConfig& config,
-                                                  AgeState start = {});
+std::vector<double> build_covariates(const StatusStreams& streams,
+                                     const CovariateConfig& config,
+                                     AgeState start = {});
 
 /// One training window: laps [begin, begin + enc + dec) of one car.
 struct SeqExample {
-  std::vector<std::vector<double>> covariates;  // enc+dec rows of dim()
-  std::vector<double> target;                   // observed rank, enc+dec
+  std::vector<double> covariates;  // enc+dec rows of one width, back to back
+  std::vector<double> target;      // observed rank, enc+dec
   int car_index = 0;   // dense per-event car index for the embedding
   double weight = 1.0; // Fig. 7 step 1: upweight windows with rank changes
 };

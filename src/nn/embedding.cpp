@@ -9,7 +9,7 @@ Embedding::Embedding(std::size_t vocab, std::size_t dim, util::Rng& rng,
     : table_(name + ".table", tensor::Matrix::randn(vocab, dim, rng, 0.1)) {}
 
 tensor::Matrix Embedding::forward_inference(
-    const std::vector<int>& indices) const {
+    std::span<const int> indices) const {
   tensor::Matrix out(indices.size(), dim());
   for (std::size_t r = 0; r < indices.size(); ++r) {
     const auto idx = static_cast<std::size_t>(indices[r]);

@@ -1,6 +1,7 @@
 // Categorical embedding (paper: CarId embedding, Table I transformations).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "nn/param.hpp"
@@ -15,7 +16,7 @@ class Embedding : public Layer {
 
   /// Look up one row per index; caches indices for backward.
   tensor::Matrix forward(const std::vector<int>& indices);
-  tensor::Matrix forward_inference(const std::vector<int>& indices) const;
+  tensor::Matrix forward_inference(std::span<const int> indices) const;
 
   /// Scatter-add gradient rows back into the table.
   void backward(const tensor::Matrix& dy);

@@ -37,10 +37,10 @@ std::vector<SeqExample> toy_windows(std::size_t count, std::size_t window,
     ex.car_index = 0;
     double level = rng.uniform(5.0, 15.0);
     ex.target.resize(window);
-    ex.covariates.assign(window, {0.0});
+    ex.covariates.assign(window, 0.0);  // one covariate per lap
     for (std::size_t t = 0; t < window; ++t) {
       if (rng.bernoulli(0.15)) {
-        ex.covariates[t][0] = 1.0;
+        ex.covariates[t] = 1.0;
         level += 5.0;
       }
       ex.target[t] = level + rng.normal(0.0, 0.1);
@@ -63,6 +63,16 @@ SeqModelConfig toy_config() {
 
 features::StandardScaler toy_scaler() {
   return features::StandardScaler(12.0, 6.0);
+}
+
+/// Every step of one sequence's encoder trace: a batch-1
+/// trace_checkpoints call that keeps every step.
+std::vector<double> Trace(const LstmSeqModel& model,
+                          std::span<const double> history,
+                          std::span<const double> covs, std::size_t width,
+                          int car) {
+  return model.trace_checkpoints({&history, 1}, {&covs, 1}, width, {&car, 1},
+                                 1)[0];
 }
 
 TEST(LstmSeqModel, TrainingReducesLoss) {
@@ -97,11 +107,10 @@ TEST(LstmSeqModel, LearnsCovariateDrivenJump) {
   }
   // Forecast with the covariate firing at step 1 vs not firing: the
   // predicted level should jump by roughly +5 only in the first case.
-  const std::vector<std::vector<double>> history{{10, 10, 10, 10, 10, 10}};
-  const std::vector<std::vector<std::vector<double>>> hist_covs{
-      {{0}, {0}, {0}, {0}, {0}, {0}}};
+  const std::vector<double> history{10, 10, 10, 10, 10, 10};
+  const std::vector<double> hist_covs(6, 0.0);
   util::Rng rng(3);
-  const auto trace = model.trace_flat(history[0], hist_covs[0], 0);
+  const auto trace = Trace(model, history, hist_covs, 1, 0);
   const std::size_t step = model.trace_step_size();
   ASSERT_EQ(trace.size(), 5 * step);
   const std::span<const double> last =
@@ -133,16 +142,6 @@ bool BitsEqual(std::span<const double> a, std::span<const double> b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
-/// Rows [first, end) of `rows`, back to back.
-std::vector<double> Flatten(const std::vector<std::vector<double>>& rows,
-                            std::size_t first = 0) {
-  std::vector<double> out;
-  for (std::size_t t = first; t < rows.size(); ++t) {
-    out.insert(out.end(), rows[t].begin(), rows[t].end());
-  }
-  return out;
-}
-
 TEST(LstmSeqModel, TraceMatchesManualAdvance) {
   // Bit for bit, not approximately: a forecast starts from a checkpointed
   // trace step and replays the steps after it through advance(), so its
@@ -150,14 +149,14 @@ TEST(LstmSeqModel, TraceMatchesManualAdvance) {
   LstmSeqModel model(toy_config());
   model.set_scaler(toy_scaler());
   const std::vector<double> history{10, 11, 12, 13};
-  const std::vector<std::vector<double>> covs{{0}, {1}, {0}, {1}};
-  const auto trace = model.trace_flat(history, covs, 0);
+  const std::vector<double> covs{0, 1, 0, 1};
+  const auto trace = Trace(model, history, covs, 1, 0);
   const std::size_t step = model.trace_step_size();
   ASSERT_EQ(trace.size(), 3 * step);
   // Replaying the last step from step 1 must reproduce step 2.
   const auto slice = std::span<const double>(trace).subspan(step, step);
   auto state = model.state_from_trace({&slice, 1});
-  const std::span<const double> cov(covs[3]);
+  const auto cov = std::span<const double>(covs).subspan(3);
   const int car = 0;
   model.advance(state, {{&cov, 1}, 1, {&history[2], 1}, {&car, 1}}, 1);
   std::vector<double> got(step);
@@ -179,18 +178,22 @@ TEST(LstmSeqModel, TraceMatchesManualAdvance) {
     util::Rng rng(target_dim);
     const std::size_t laps = 23;
     std::vector<double> ranks(laps);
-    std::vector<std::vector<double>> rows(laps, std::vector<double>(3));
+    std::vector<double> rows(laps * 3);  // lap t's row at rows[t * 3]
     for (std::size_t t = 0; t < laps; ++t) {
       ranks[t] = rng.uniform(1.0, 33.0);
-      for (auto& v : rows[t]) v = rng.bernoulli(0.3) ? 1.0 : 0.0;
+      for (std::size_t c = 0; c < 3; ++c) {
+        rows[t * 3 + c] = rng.bernoulli(0.3) ? 1.0 : 0.0;
+      }
     }
-    const auto flat = m.trace_flat(ranks, rows, 1);
+    const auto flat = Trace(m, ranks, rows, 3, 1);
     const std::size_t step = m.trace_step_size();
     ASSERT_EQ(flat.size(), (laps - 1) * step);
+    const std::span<const double> history(ranks), block(rows);
+    const int car = 1;
     for (const std::size_t every : {std::size_t{1}, std::size_t{4},
                                     std::size_t{5}}) {
-      const auto kept = m.trace_checkpoints({&ranks, 1}, {&rows, 1},
-                                            std::vector<int>{1}, every)[0];
+      const auto kept = m.trace_checkpoints({&history, 1}, {&block, 1}, 3,
+                                            {&car, 1}, every)[0];
       ASSERT_EQ(kept.size(), ((laps - 2) / every + 1) * step);
       for (std::size_t t = 0; t + 1 < laps; ++t) {
         const std::size_t from = t / every;
@@ -202,12 +205,10 @@ TEST(LstmSeqModel, TraceMatchesManualAdvance) {
         for (std::size_t u = first; u <= t; ++u) {
           z.push_back(ranks[u]);
           for (std::size_t j = 1; j < target_dim; ++j) {
-            z.push_back(rows[u][j - 1]);
+            z.push_back(rows[u * 3 + j - 1]);
           }
         }
-        const auto cov_rows = Flatten(rows, first + 1);
-        const std::span<const double> cov(cov_rows);
-        const int car = 1;
+        const auto cov = block.subspan((first + 1) * 3);
         m.advance(replayed, {{&cov, 1}, 3, z, {&car, 1}}, t + 1 - first);
         std::vector<double> got(step);
         m.trace_from_state(replayed, got);
@@ -250,20 +251,25 @@ TEST(LstmSeqModel, BatchedCheckpointsMatchPerCarTraceOnARaggedField) {
     by_laps[ragged.car(car_id).laps()].push_back(car_id);
   }
   ASSERT_GE(by_laps.size(), 3u);
+  const std::size_t dim = cov_config.dim();
   for (const auto& [laps, group] : by_laps) {
-    std::vector<std::vector<double>> history;
-    std::vector<std::vector<std::vector<double>>> covs;
+    std::vector<std::vector<double>> blocks;
     std::vector<int> index;
     for (const int car_id : group) {
-      history.push_back(ragged.car(car_id).rank);
-      covs.push_back(features::build_covariates(
+      blocks.push_back(features::build_covariates(
           features::StatusStreams::from_race(ragged, car_id), cov_config));
       index.push_back(vocab.index(car_id));
     }
-    const auto kept = model.trace_checkpoints(history, covs, index, kEvery);
+    std::vector<std::span<const double>> history, covs;
+    for (std::size_t i = 0; i < group.size(); ++i) {
+      history.push_back(ragged.car(group[i]).rank);
+      covs.push_back(blocks[i]);
+    }
+    const auto kept =
+        model.trace_checkpoints(history, covs, dim, index, kEvery);
     ASSERT_EQ(kept.size(), group.size());
     for (std::size_t i = 0; i < group.size(); ++i) {
-      const auto flat = model.trace_flat(history[i], covs[i], index[i]);
+      const auto flat = Trace(model, history[i], covs[i], dim, index[i]);
       ASSERT_EQ(flat.size(), laps > 1 ? (laps - 1) * step : 0u);
       const std::size_t n = laps > 1 ? (laps - 2) / kEvery + 1 : 0;
       ASSERT_EQ(kept[i].size(), n * step) << "car " << group[i];
@@ -277,6 +283,43 @@ TEST(LstmSeqModel, BatchedCheckpointsMatchPerCarTraceOnARaggedField) {
   }
 }
 
+TEST(LstmSeqModel, TraceCheckpointsRejectsMismatchedShapes) {
+  // Every history row needs one laps x cov_width covariate block and one
+  // car index; anything else would be read past its end.
+  LstmSeqModel model(toy_config());
+  model.set_scaler(toy_scaler());
+  const std::vector<double> ranks{10, 11, 12};
+  const std::vector<double> rows{0, 1, 0};
+  const std::vector<std::span<const double>> two(2, ranks), one_cov(1, rows),
+      two_covs(2, rows);
+  const std::vector<int> one_car(1, 0), two_cars(2, 0);
+  EXPECT_NO_THROW(model.trace_checkpoints(two, two_covs, 1, two_cars, 1));
+  EXPECT_THROW(model.trace_checkpoints(two, one_cov, 1, two_cars, 1),
+               std::invalid_argument);
+  EXPECT_THROW(model.trace_checkpoints(two, two_covs, 1, one_car, 1),
+               std::invalid_argument);
+  // A block of 3 values is not 3 laps of width 2.
+  EXPECT_THROW(model.trace_checkpoints(two, two_covs, 2, two_cars, 1),
+               std::invalid_argument);
+  const std::vector<double> short_rows{0, 1};
+  const std::vector<std::span<const double>> ragged_covs{rows, short_rows};
+  EXPECT_THROW(model.trace_checkpoints(two, ragged_covs, 1, two_cars, 1),
+               std::invalid_argument);
+}
+
+TEST(LstmSeqModel, MakeBatchRejectsCovariatesThatAreNotRows) {
+  // A window's covariates are one row of cov_dim (here 1) or more per lap.
+  LstmSeqModel model(toy_config());
+  model.set_scaler(toy_scaler());
+  auto windows = toy_windows(2, 12, 1);
+  const std::vector<const SeqExample*> ptrs{&windows[0], &windows[1]};
+  EXPECT_NO_THROW(model.make_batch(ptrs, 2));
+  windows[1].covariates.pop_back();  // 11 values for 12 laps
+  EXPECT_THROW(model.make_batch(ptrs, 2), std::invalid_argument);
+  windows[1].covariates.assign(12 * 2 + 1, 0.0);  // 25 values for 12 laps
+  EXPECT_THROW(model.make_batch(ptrs, 2), std::invalid_argument);
+}
+
 TEST(LstmSeqModel, FlatTraceMatchesAdvanceFromZeroState) {
   // An independent recurrence: step t of the flat trace is t + 1 advance
   // steps from a zero state over the same inputs, bit for bit. toy_config
@@ -285,13 +328,12 @@ TEST(LstmSeqModel, FlatTraceMatchesAdvanceFromZeroState) {
   LstmSeqModel model(cfg);
   model.set_scaler(toy_scaler());
   const std::vector<double> history{10, 11, 9, 12, 12, 8};
-  const std::vector<std::vector<double>> covs{{0}, {1}, {0}, {1}, {1}, {0}};
-  const auto flat = model.trace_flat(history, covs, 0);
+  const std::vector<double> covs{0, 1, 0, 1, 1, 0};
+  const auto flat = Trace(model, history, covs, 1, 0);
   const std::size_t step = model.trace_step_size();
   ASSERT_EQ(step, cfg.num_layers * 2 * cfg.hidden);
   ASSERT_EQ(flat.size(), (history.size() - 1) * step);
-  const auto cov_rows = Flatten(covs, 1);
-  const std::span<const double> cov(cov_rows);
+  const auto cov = std::span<const double>(covs).subspan(1);
   const int car = 0;
   for (std::size_t t = 0; t + 1 < history.size(); ++t) {
     LstmSeqModel::StackState state(cfg.num_layers,
@@ -311,8 +353,8 @@ TEST(LstmSeqModel, StateFromTraceCopiesStepsPerRow) {
   LstmSeqModel model(cfg);
   model.set_scaler(toy_scaler());
   const std::vector<double> history{10, 11, 12};
-  const std::vector<std::vector<double>> covs{{0}, {1}, {0}};
-  const auto flat = model.trace_flat(history, covs, 0);
+  const std::vector<double> covs{0, 1, 0};
+  const auto flat = Trace(model, history, covs, 1, 0);
   const std::size_t step = model.trace_step_size();
   const auto slice = [&](std::size_t t) {
     return std::span<const double>(flat).subspan(t * step, step);
@@ -342,9 +384,9 @@ TEST(LstmSeqModel, StateFromTraceCopiesStepsPerRow) {
 TEST(LstmSeqModel, SampleForwardShapesAndSpread) {
   LstmSeqModel model(toy_config());
   model.set_scaler(toy_scaler());
-  const std::vector<std::vector<double>> history{{10, 10, 10}};
-  const std::vector<std::vector<std::vector<double>>> covs{{{0}, {0}, {0}}};
-  const auto trace = model.trace_flat(history[0], covs[0], 0);
+  const std::vector<double> history{10, 10, 10};
+  const std::vector<double> covs{0, 0, 0};
+  const auto trace = Trace(model, history, covs, 1, 0);
   const std::size_t step = model.trace_step_size();
   const std::vector<std::span<const double>> start(
       64, std::span<const double>(trace).last(step));
@@ -404,13 +446,38 @@ TEST(TransformerSeqModel, SampleForecastShape) {
   core::TransformerSeqModel model(cfg);
   model.set_scaler(toy_scaler());
   util::Rng rng(6);
-  const std::vector<std::vector<double>> history(3, {10, 11, 12, 11});
-  const std::vector<std::vector<std::vector<double>>> covs(
-      3, {{0}, {0}, {0}, {0}, {1}, {0}});
-  const auto out = model.sample_forecast(history, covs, {0, 0, 0}, 2, rng);
+  const std::vector<double> ranks{10, 11, 12, 11};
+  const std::vector<double> rows{0, 0, 0, 0, 1, 0};  // 4 context + 2 horizon
+  const std::vector<std::span<const double>> history(3, ranks), covs(3, rows);
+  const std::vector<int> car_index(3, 0);
+  const auto out = model.sample_forecast(history, covs, 1, car_index, 2, rng);
   EXPECT_EQ(out.rows(), 3u);
   EXPECT_EQ(out.cols(), 2u);
   for (double v : out.flat()) EXPECT_TRUE(std::isfinite(v));
+}
+
+TEST(TransformerSeqModel, SampleForecastRejectsMismatchedShapes) {
+  // One covariate span and one car index per history row.
+  core::TransformerConfig cfg;
+  cfg.cov_dim = 1;
+  cfg.model_dim = 16;
+  cfg.heads = 4;
+  cfg.blocks = 1;
+  cfg.embed_dim = 2;
+  cfg.vocab = 2;
+  core::TransformerSeqModel model(cfg);
+  model.set_scaler(toy_scaler());
+  util::Rng rng(6);
+  const std::vector<double> ranks{10, 11, 12, 11};
+  const std::vector<double> rows{0, 0, 0, 0, 1, 0};
+  const std::vector<std::span<const double>> history(3, ranks),
+      covs(3, rows), short_covs(2, rows);
+  const std::vector<int> cars(3, 0), short_cars(2, 0);
+  EXPECT_NO_THROW(model.sample_forecast(history, covs, 1, cars, 2, rng));
+  EXPECT_THROW(model.sample_forecast(history, short_covs, 1, cars, 2, rng),
+               std::invalid_argument);
+  EXPECT_THROW(model.sample_forecast(history, covs, 1, short_cars, 2, rng),
+               std::invalid_argument);
 }
 
 TEST(PitModel, LearnsStintLength) {

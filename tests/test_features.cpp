@@ -89,19 +89,20 @@ TEST(Covariates, ShiftFeaturesLookAhead) {
   const auto streams = features::StatusStreams::from_race(race, 1);
   features::CovariateConfig cfg;  // full, shift = 2
   const auto covs = features::build_covariates(streams, cfg);
-  ASSERT_EQ(covs.size(), 6u);
-  ASSERT_EQ(covs[0].size(), 9u);
+  // One row of 9 per lap, back to back: lap t's value c at covs[t * 9 + c].
+  ASSERT_EQ(covs.size(), 6u * 9u);
+  const auto at = [&](std::size_t t, std::size_t c) { return covs[t * 9 + c]; };
   // Layout: [track, lap, caution/10, age/40, leader/10, total/10,
   //          shift_lap, shift_track, shift_total/10].
   // At lap index 1 (lap 2), shift 2 looks at lap 4 = pit lap of car 1.
-  EXPECT_EQ(covs[1][6], 1.0);
+  EXPECT_EQ(at(1, 6), 1.0);
   // At index 4 (lap 5), shift 2 looks past the end -> zeros.
-  EXPECT_EQ(covs[4][6], 0.0);
+  EXPECT_EQ(at(4, 6), 0.0);
   // Age features recomputed from statuses match compute_status_features.
   const auto f = features::compute_status_features(race.car(1));
   for (std::size_t t = 0; t < 6; ++t) {
-    EXPECT_NEAR(covs[t][3], f.pit_age[t] / 40.0, 1e-12);
-    EXPECT_NEAR(covs[t][2], f.caution_laps[t] / 10.0, 1e-12);
+    EXPECT_NEAR(at(t, 3), f.pit_age[t] / 40.0, 1e-12);
+    EXPECT_NEAR(at(t, 2), f.caution_laps[t] / 10.0, 1e-12);
   }
 }
 
@@ -128,8 +129,7 @@ TEST(Windows, BuildShapesWeightsAndStride) {
   std::size_t weighted = 0;
   for (const auto& w : windows) {
     EXPECT_EQ(w.target.size(), 22u);
-    EXPECT_EQ(w.covariates.size(), 22u);
-    EXPECT_EQ(w.covariates[0].size(), cfg.covariates.dim());
+    EXPECT_EQ(w.covariates.size(), 22u * cfg.covariates.dim());
     EXPECT_TRUE(w.weight == 1.0 || w.weight == 9.0);
     if (w.weight == 9.0) ++weighted;
     EXPECT_GE(w.car_index, 0);

@@ -316,17 +316,17 @@ TEST(ZeroAlloc, TransformerSampleForecastSteadyState) {
 
   const std::size_t rows = 3, ctx = 6;
   const int horizon = 4;
-  std::vector<std::vector<double>> history(rows,
-                                           std::vector<double>(ctx, 10.0));
-  std::vector<std::vector<std::vector<double>>> covs(
-      rows, std::vector<std::vector<double>>(
-                ctx + static_cast<std::size_t>(horizon),
-                std::vector<double>(config.cov_dim, 0.5)));
+  const std::vector<double> ranks(ctx, 10.0);
+  const std::vector<double> cov_rows(
+      (ctx + static_cast<std::size_t>(horizon)) * config.cov_dim, 0.5);
+  const std::vector<std::span<const double>> history(rows, ranks),
+      covs(rows, cov_rows);
   std::vector<int> car_index(rows, 2);
 
   const auto run = [&](std::uint64_t seed) {
     Rng rng(seed);
-    return model.sample_forecast(history, covs, car_index, horizon, rng);
+    return model.sample_forecast(history, covs, config.cov_dim, car_index,
+                                 horizon, rng);
   };
   run(1);
   run(2);

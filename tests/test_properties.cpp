@@ -99,11 +99,14 @@ TEST_P(CovariateConsistency, AgeFeaturesMatchTransforms) {
     const auto streams = features::StatusStreams::from_race(race, car_id);
     const auto covs = features::build_covariates(streams, cfg);
     const auto status = features::compute_status_features(race.car(car_id));
-    for (std::size_t t = 0; t < covs.size(); ++t) {
-      ASSERT_NEAR(covs[t][2] * 10.0, status.caution_laps[t], 1e-9);
-      ASSERT_NEAR(covs[t][3] * 40.0, status.pit_age[t], 1e-9);
-      ASSERT_EQ(covs[t][0], status.track_status[t]);
-      ASSERT_EQ(covs[t][1], status.lap_status[t]);
+    const std::size_t dim = cfg.dim();
+    ASSERT_EQ(covs.size(), streams.laps() * dim);
+    for (std::size_t t = 0; t < streams.laps(); ++t) {
+      const double* row = covs.data() + t * dim;
+      ASSERT_NEAR(row[2] * 10.0, status.caution_laps[t], 1e-9);
+      ASSERT_NEAR(row[3] * 40.0, status.pit_age[t], 1e-9);
+      ASSERT_EQ(row[0], status.track_status[t]);
+      ASSERT_EQ(row[1], status.lap_status[t]);
     }
   }
 }

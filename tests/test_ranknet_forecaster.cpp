@@ -124,8 +124,8 @@ telemetry::RaceLog RaggedPrefix(const telemetry::RaceLog& race) {
   return telemetry::RaceLog(race.info(), std::move(records));
 }
 
-/// The decode of a RankNetForecaster rebuilt from each car's full
-/// trace_flat through public calls only: the spec the checkpointed race
+/// The decode of a RankNetForecaster rebuilt from each car's full encoder
+/// trace (every step kept) through public calls only: the spec the checkpointed race
 /// cache and the in-place decode must meet bit for bit. Without a pit model
 /// it decodes a ground-truth source (Oracle, Joint, DeepAR); with one, the
 /// PitModel source: sample s's status rows come from a StatusSampler over
@@ -145,11 +145,11 @@ class FullTraceReference {
       car.index = vocab.index(car_id);
       car.history = race.car(car_id).rank;
       car.streams = features::StatusStreams::from_race(race, car_id);
-      const auto rows = features::build_covariates(car.streams, config_);
-      car.trace = model_->trace_flat(car.history, rows, car.index);
-      for (const auto& row : rows) {
-        car.covariates.insert(car.covariates.end(), row.begin(), row.end());
-      }
+      car.covariates = features::build_covariates(car.streams, config_);
+      const std::span<const double> history(car.history), covs(car.covariates);
+      car.trace = model_->trace_checkpoints({&history, 1}, {&covs, 1},
+                                            config_.dim(), {&car.index, 1},
+                                            1)[0];
       cars_.emplace(car_id, std::move(car));
     }
   }
@@ -590,7 +590,7 @@ TEST_F(ForecasterContract, StatusSamplerMatchesReference) {
             ASSERT_TRUE(RowBitsEqual(
                 std::span<const double>(got).subspan(
                     (i * sampler.rows() + k) * dim, dim),
-                want[k]))
+                std::span<const double>(want).subspan(k * dim, dim)))
                 << "origin " << origin << " sample " << s << " car " << i
                 << " row " << k;
           }
